@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race check chaostest gwchaostest difftest fuzz fuzzsmoke leakcheck benchguard benchbaseline bench serve loadtest
+.PHONY: build test vet fmt race check chaostest gwchaostest difftest fuzz fuzzsmoke leakcheck benchguard benchbaseline bench serve loadtest
 
 build:
 	$(GO) build ./...
@@ -11,16 +11,20 @@ test:
 vet:
 	$(GO) vet ./...
 
+## fmt: fail if any Go file is not gofmt-formatted.
+fmt:
+	test -z "$$(gofmt -l .)"
+
 ## race: the concurrency gate — the concurrent RuleSet scanner and the
 ## streaming reader tests all run under the race detector.
 race:
 	$(GO) test -race ./...
 
-## check: the full local CI gate — vet, everything under the race
+## check: the full local CI gate — gofmt, vet, everything under the race
 ## detector (including the goroutine-leak assertions in the fault
 ## matrix), the differential battery, the seeded chaos suite, then a
 ## short fuzz pass over the differential fuzzers.
-check: vet race difftest leakcheck chaostest gwchaostest fuzzsmoke
+check: fmt vet race difftest leakcheck chaostest gwchaostest fuzzsmoke
 
 ## difftest: the three-way differential battery under -race — the
 ## lazy-DFA fast path, the exact slow path and Go's regexp (plus the

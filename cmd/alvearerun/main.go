@@ -42,15 +42,15 @@ var ctx context.Context
 
 func main() {
 	var (
-		cores   = flag.Int("cores", 1, "ALVEARE cores (divide-and-conquer over the stream)")
-		all     = flag.Bool("all", false, "report every non-overlapping match, not just the first")
-		stats   = flag.Bool("stats", false, "print microarchitecture counters and modelled device time")
-		quiet   = flag.Bool("q", false, "suppress per-match output (exit status only)")
-		trace   = flag.Bool("trace", false, "print a cycle-by-cycle execution trace to stderr (single core)")
-		vcd     = flag.String("vcd", "", "write a VCD waveform of the execution to this file (single core)")
-		chunk   = flag.Int("chunk", 0, "streaming window size in bytes (0 = default 64 KiB)")
-		olap    = flag.Int("overlap", 0, "chunk-boundary overlap in bytes (0 = default 256)")
-		cf      = cli.RegisterScan(flag.CommandLine)
+		cores = flag.Int("cores", 1, "ALVEARE cores (divide-and-conquer over the stream)")
+		all   = flag.Bool("all", false, "report every non-overlapping match, not just the first")
+		stats = flag.Bool("stats", false, "print microarchitecture counters and modelled device time")
+		quiet = flag.Bool("q", false, "suppress per-match output (exit status only)")
+		trace = flag.Bool("trace", false, "print a cycle-by-cycle execution trace to stderr (single core)")
+		vcd   = flag.String("vcd", "", "write a VCD waveform of the execution to this file (single core)")
+		chunk = flag.Int("chunk", 0, "streaming window size in bytes (0 = default 64 KiB)")
+		olap  = flag.Int("overlap", 0, "chunk-boundary overlap in bytes (0 = default 256)")
+		cf    = cli.RegisterScan(flag.CommandLine)
 	)
 	flag.Parse()
 	if flag.NArg() < 1 {

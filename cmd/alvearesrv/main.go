@@ -48,18 +48,18 @@ import (
 
 func main() {
 	var (
-		addr       = flag.String("addr", ":7171", "listen address")
-		rulesPath  = flag.String("rules", "", "rule database, one regular expression per line (required)")
-		workers    = flag.Int("workers", 0, "service worker pool width (0 = GOMAXPROCS)")
-		queue      = flag.Int("queue", 0, "admission queue depth; full = SHED (0 = default 128)")
-		maxFrame   = flag.Int("maxframe", 0, "largest accepted request frame in bytes (0 = 1 MiB)")
-		readTO     = flag.Duration("read-timeout", 0, "per-frame read deadline; idle connections close after it (0 = 30s)")
-		writeTO    = flag.Duration("write-timeout", 0, "per-frame write deadline; clients that stop reading are disconnected (0 = 30s, negative = none)")
-		requestTO  = flag.Duration("request-timeout", 0, "per-request scan deadline (0 = unbounded)")
-		drain      = flag.Duration("drain", 30*time.Second, "graceful-drain deadline on shutdown")
-		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof and expvar on this address")
-		cacheSize  = flag.Int("pattern-cache", 0, "LRU capacity for ad-hoc SCAN-PATTERN engines (0 = default 64)")
-		cf         = cli.RegisterScan(flag.CommandLine)
+		addr      = flag.String("addr", ":7171", "listen address")
+		rulesPath = flag.String("rules", "", "rule database, one regular expression per line (required)")
+		workers   = flag.Int("workers", 0, "service worker pool width (0 = GOMAXPROCS)")
+		queue     = flag.Int("queue", 0, "admission queue depth; full = SHED (0 = default 128)")
+		maxFrame  = flag.Int("maxframe", 0, "largest accepted request frame in bytes (0 = 1 MiB)")
+		readTO    = flag.Duration("read-timeout", 0, "per-frame read deadline; idle connections close after it (0 = 30s)")
+		writeTO   = flag.Duration("write-timeout", 0, "per-frame write deadline; clients that stop reading are disconnected (0 = 30s, negative = none)")
+		requestTO = flag.Duration("request-timeout", 0, "per-request scan deadline (0 = unbounded)")
+		drain     = flag.Duration("drain", 30*time.Second, "graceful-drain deadline on shutdown")
+		pprofAddr = flag.String("pprof", "", "serve net/http/pprof and expvar on this address")
+		cacheSize = flag.Int("pattern-cache", 0, "LRU capacity for ad-hoc SCAN-PATTERN engines (0 = default 64)")
+		cf        = cli.RegisterScan(flag.CommandLine)
 	)
 	flag.Parse()
 	if *rulesPath == "" {

@@ -299,7 +299,7 @@ func TestDifferentialBatchScan(t *testing.T) {
 				}
 				items = append(items, corpus[off:end])
 			}
-			items = append(items, nil)           // empty item
+			items = append(items, nil)            // empty item
 			items = append(items, corpus[:8<<10]) // outsized straggler
 			res, err := c.ScanBatch(items)
 			if err != nil {

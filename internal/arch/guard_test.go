@@ -103,8 +103,8 @@ func TestDeadlineStopsLongExecution(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig()
-	cfg.MaxCycles = 1 << 40   // effectively unbounded: only ctx can stop this
-	cfg.StackDepth = 1 << 30  // keep the speculation stack from tripping first
+	cfg.MaxCycles = 1 << 40  // effectively unbounded: only ctx can stop this
+	cfg.StackDepth = 1 << 30 // keep the speculation stack from tripping first
 	c, err := NewCore(p, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -245,4 +245,3 @@ func sameMatches(a, b []Match) bool {
 	}
 	return true
 }
-
