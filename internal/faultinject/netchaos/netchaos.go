@@ -183,9 +183,11 @@ type Proxy struct {
 	ln       net.Listener
 	accepted atomic.Int64
 
-	mu    sync.Mutex
-	down  bool
-	conns map[net.Conn]struct{}
+	mu   sync.Mutex
+	down bool
+	// conns holds every live connection; the value is true for the
+	// client-facing side, false for the backend side.
+	conns map[net.Conn]bool
 
 	wg     sync.WaitGroup
 	closed chan struct{}
@@ -208,7 +210,7 @@ func New(backend string, seed int64, scenarios []Scenario) (*Proxy, error) {
 		seed:      seed,
 		scenarios: scenarios,
 		ln:        ln,
-		conns:     map[net.Conn]struct{}{},
+		conns:     map[net.Conn]bool{},
 		closed:    make(chan struct{}),
 	}
 	p.wg.Add(1)
@@ -230,14 +232,21 @@ func (p *Proxy) Accepted() int64 { return p.accepted.Load() }
 func (p *Proxy) SetDown(down bool) {
 	p.mu.Lock()
 	p.down = down
-	var sever []net.Conn
+	var clients, backends []net.Conn
 	if down {
-		for c := range p.conns {
-			sever = append(sever, c)
+		for c, client := range p.conns {
+			if client {
+				clients = append(clients, c)
+			} else {
+				backends = append(backends, c)
+			}
 		}
 	}
 	p.mu.Unlock()
-	for _, c := range sever {
+	// Client sides first: a backend conn aborted first ends the response
+	// copy, which half-closes the client conn, and the client would read
+	// a clean FIN before the reset.
+	for _, c := range append(clients, backends...) {
 		abortConn(c)
 	}
 }
@@ -264,8 +273,9 @@ func (p *Proxy) Close() error {
 	return err
 }
 
-// track registers c for teardown; false if the proxy is closing.
-func (p *Proxy) track(c net.Conn) bool {
+// track registers c (client-facing or backend side) for teardown;
+// false if the proxy is closing.
+func (p *Proxy) track(c net.Conn, client bool) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	select {
@@ -273,7 +283,7 @@ func (p *Proxy) track(c net.Conn) bool {
 		return false
 	default:
 	}
-	p.conns[c] = struct{}{}
+	p.conns[c] = client
 	return true
 }
 
@@ -329,7 +339,7 @@ func abortConn(c net.Conn) {
 // handle proxies one connection under its scenario.
 func (p *Proxy) handle(cc net.Conn, sc Scenario, rng *rand.Rand) {
 	defer p.wg.Done()
-	if !p.track(cc) {
+	if !p.track(cc, true) {
 		cc.Close()
 		return
 	}
@@ -347,7 +357,7 @@ func (p *Proxy) handle(cc net.Conn, sc Scenario, rng *rand.Rand) {
 		abortConn(cc)
 		return
 	}
-	if !p.track(bc) {
+	if !p.track(bc, false) {
 		bc.Close()
 		return
 	}

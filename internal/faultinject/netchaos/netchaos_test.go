@@ -2,15 +2,20 @@ package netchaos
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"net"
+	"syscall"
 	"testing"
 	"time"
 )
 
-// writerBackend writes data to every accepted connection and closes
-// cleanly; any rougher ending the client observes was injected by the
-// proxy.
+// writerBackend writes data to every accepted connection once the
+// client has sent one byte (see dialAndAsk), and closes cleanly; any
+// rougher ending the client observes was injected by the proxy.
+// Waiting for the client keeps an injected fault from firing before
+// the client's dial has completed: a reset that lands while Go's
+// non-blocking connect is still pending fails the dial itself.
 func writerBackend(t *testing.T, data []byte) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -25,6 +30,9 @@ func writerBackend(t *testing.T, data []byte) string {
 			}
 			go func(c net.Conn) {
 				defer c.Close()
+				if _, err := io.ReadFull(c, make([]byte, 1)); err != nil {
+					return
+				}
 				c.Write(data)
 			}(c)
 		}
@@ -64,6 +72,17 @@ func dialProxy(t *testing.T, p *Proxy) net.Conn {
 	}
 	c.SetDeadline(time.Now().Add(5 * time.Second))
 	t.Cleanup(func() { c.Close() })
+	return c
+}
+
+// dialAndAsk dials the proxy and sends the one byte a writerBackend
+// waits for before it answers.
+func dialAndAsk(t *testing.T, p *Proxy) net.Conn {
+	t.Helper()
+	c := dialProxy(t, p)
+	if _, err := c.Write([]byte{'?'}); err != nil {
+		t.Fatal(err)
+	}
 	return c
 }
 
@@ -107,7 +126,7 @@ func TestResetDeliversExactPrefix(t *testing.T) {
 	}
 	defer p.Close()
 
-	c := dialProxy(t, p)
+	c := dialAndAsk(t, p)
 	got, rerr := io.ReadAll(c)
 	if rerr == nil {
 		t.Fatal("reset connection ended with clean EOF, want a read error")
@@ -132,7 +151,7 @@ func TestTruncateEndsWithCleanEOF(t *testing.T) {
 	}
 	defer p.Close()
 
-	c := dialProxy(t, p)
+	c := dialAndAsk(t, p)
 	got, rerr := io.ReadAll(c)
 	if rerr != nil {
 		t.Fatalf("truncation must end in clean EOF, got %v", rerr)
@@ -154,7 +173,7 @@ func TestCorruptFlipsExactlyOneByte(t *testing.T) {
 	}
 	defer p.Close()
 
-	c := dialProxy(t, p)
+	c := dialAndAsk(t, p)
 	got := make([]byte, len(data))
 	if _, err := io.ReadFull(c, got); err != nil {
 		t.Fatal(err)
@@ -242,12 +261,21 @@ func TestSetDownSeversAndRevives(t *testing.T) {
 	if _, rerr := io.ReadAll(c1); rerr == nil {
 		t.Fatal("live connection survived SetDown(true)")
 	}
-	// A new connection is aborted on accept; the reset may be consumed
-	// by the write, so the invariant is that no byte ever comes back.
-	c2 := dialProxy(t, p)
-	c2.Write([]byte("hi"))
-	if got, _ := io.ReadAll(c2); len(got) != 0 {
-		t.Fatalf("downed backend delivered %d bytes", len(got))
+	// A new connection is aborted on accept; the reset may reach the
+	// dial itself (it can land before the non-blocking connect
+	// completes) or be consumed by the write, so the invariant is that
+	// no byte ever comes back. A refused or reset dial meets it.
+	if c2, derr := net.DialTimeout("tcp", p.Addr(), 2*time.Second); derr != nil {
+		if !errors.Is(derr, syscall.ECONNRESET) && !errors.Is(derr, syscall.ECONNREFUSED) {
+			t.Fatalf("dial to downed backend: %v", derr)
+		}
+	} else {
+		defer c2.Close()
+		c2.SetDeadline(time.Now().Add(5 * time.Second))
+		c2.Write([]byte("hi"))
+		if got, _ := io.ReadAll(c2); len(got) != 0 {
+			t.Fatalf("downed backend delivered %d bytes", len(got))
+		}
 	}
 
 	p.SetDown(false)
@@ -274,7 +302,7 @@ func TestScenarioTableRoundRobin(t *testing.T) {
 	defer p.Close()
 
 	for i := 0; i < 4; i++ {
-		c := dialProxy(t, p)
+		c := dialAndAsk(t, p)
 		got, rerr := io.ReadAll(c)
 		if i%2 == 0 {
 			if rerr == nil || len(got) != 4 {

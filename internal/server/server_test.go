@@ -573,7 +573,17 @@ func TestServerStats(t *testing.T) {
 	if got := snap.Get("server.matches"); got != 3 {
 		t.Fatalf("server.matches = %d, want 3", got)
 	}
+	// A worker records a request's latency after writing its response,
+	// so the reply to the third scan (and this STATS request) can
+	// overtake the third observation; poll until it lands.
 	m, ok := snap.Find("server.scan.latency_us")
+	for deadline := time.Now().Add(5 * time.Second); (!ok || m.Count < 3) && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		if snap, err = c.Stats(); err != nil {
+			t.Fatalf("Stats: %v", err)
+		}
+		m, ok = snap.Find("server.scan.latency_us")
+	}
 	if !ok || m.Count != 3 {
 		t.Fatalf("scan latency histogram = %+v (ok=%v), want 3 observations", m, ok)
 	}
