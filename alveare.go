@@ -54,11 +54,6 @@ type Option = core.Option
 // the paper's prototype; any positive count here).
 func WithCores(n int) Option { return core.WithCores(n) }
 
-// WithPrefilter enables the necessary-factor prefilter hint attached by
-// the compiler (an extension beyond the paper's baseline design);
-// results are identical, candidate scanning gets cheaper.
-func WithPrefilter() Option { return core.WithPrefilter() }
-
 // WithDFA enables the hybrid fast path: a lazy (on-the-fly
 // determinised, RE2-style) DFA proves match absence in one linear pass
 // before the precise speculative engine runs, and a RuleSet adds one

@@ -109,32 +109,6 @@ func TestRuleSet(t *testing.T) {
 	}
 }
 
-// TestWithPrefilterPublicAPI: the prefilter option is reachable from
-// the public API and never changes results.
-func TestWithPrefilterPublicAPI(t *testing.T) {
-	prog := MustCompile("(GET|POST) /admin")
-	plain, err := NewEngine(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fast, err := NewEngine(prog, WithPrefilter())
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := []byte(strings.Repeat("noise ", 2000) + "POST /admin HTTP/1.1")
-	m1, ok1, err1 := plain.Find(data)
-	m2, ok2, err2 := fast.Find(data)
-	if err1 != nil || err2 != nil {
-		t.Fatal(err1, err2)
-	}
-	if !ok1 || ok1 != ok2 || m1 != m2 {
-		t.Fatalf("results differ: %v/%v vs %v/%v", m1, ok1, m2, ok2)
-	}
-	if fast.Stats().Cycles >= plain.Stats().Cycles {
-		t.Errorf("prefilter did not save cycles: %d vs %d", fast.Stats().Cycles, plain.Stats().Cycles)
-	}
-}
-
 // TestRuleSetMultiCore: rule sets compose with the scale-out option.
 func TestRuleSetMultiCore(t *testing.T) {
 	rs, err := NewRuleSet([]string{"needle", "n[aeiou]+dle"}, CompilerOptions{}, WithCores(4))

@@ -29,6 +29,7 @@
 package arch
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -61,12 +62,6 @@ type Config struct {
 	// this value, regardless of MaxCycles. Zero disables the hook (the
 	// normal configuration). See internal/faultinject.
 	ForceRunawayAt int64
-	// EnablePrefilter lets the engine use the compiler's
-	// necessary-factor hint (isa.Program.Hint) to narrow candidate
-	// start offsets when the program opens with a complex operator.
-	// Off by default: the paper's baseline design scans with the first
-	// instruction only.
-	EnablePrefilter bool
 	// Metrics enables the detailed observability counters (per-stage
 	// cycle attribution, speculation push/pop/flush accounting,
 	// data-memory hit/miss classification, per-CU utilization). Off by
@@ -254,9 +249,12 @@ func (e *ExecError) Unwrap() error { return e.Err }
 // searches recycle (pool cores, or use one per goroutine, to scan in
 // parallel).
 type Core struct {
-	cfg    Config
-	code   []isa.Instr
-	prog   *isa.Program
+	cfg  Config
+	prog *isa.Program
+	// ops and sets are the decoded program (decode.go), read-only and
+	// shared with every clone of this core.
+	ops    []uop
+	sets   []byteSet
 	stats  Stats
 	tracer Tracer
 	// cuBusy counts, per compute unit, the characters it processed
@@ -272,15 +270,26 @@ type Core struct {
 	scratch machine
 }
 
-// NewCore loads a validated program into a core.
+// NewCore loads a validated program into a core, decoding it into
+// micro-ops once.
 func NewCore(p *isa.Program, cfg Config) (*Core, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	c := &Core{cfg: cfg.withDefaults(), code: p.Code, prog: p, fault: cfg.ForceRunawayAt}
-	c.cuBusy = make([]int64, c.cfg.ComputeUnits)
-	return c, nil
+	ops, sets := decode(p.Code)
+	return newCore(p, ops, sets, cfg.withDefaults()), nil
 }
+
+func newCore(p *isa.Program, ops []uop, sets []byteSet, cfg Config) *Core {
+	return &Core{cfg: cfg, prog: p, ops: ops, sets: sets, fault: cfg.ForceRunawayAt, cuBusy: make([]int64, cfg.ComputeUnits)}
+}
+
+// Clone returns a fresh core running the same program under the same
+// configuration, as NewCore would build it (zero counters, no tracer,
+// no injected fault beyond Config.ForceRunawayAt), but sharing c's
+// decoded program instead of decoding it again. Pools and scale-out
+// engines clone one loaded core per program.
+func (c *Core) Clone() *Core { return newCore(c.prog, c.ops, c.sets, c.cfg) }
 
 // InjectRunawayAt forces the core to trip ErrRunaway once its
 // accumulated cycle counter reaches k; 0 disables the hook. It is the
@@ -312,9 +321,8 @@ func (c *Core) CUUtilization() []int64 {
 
 // Reset prepares the core for a fresh input stream: it clears the
 // performance counters and drops every reference to the previous data
-// (the prefilter occurrence cache, the data slice itself) while
-// retaining the speculation-stack and snapshot arenas at their grown
-// capacity. Reset is what makes pooled cores cheap to recycle — a
+// while retaining the speculation-stack and snapshot arenas at their
+// grown capacity. Reset is what makes pooled cores cheap to recycle — a
 // reused core re-runs without reallocating the stack memory its
 // earlier inputs forced it to grow.
 func (c *Core) Reset() {
@@ -326,32 +334,18 @@ func (c *Core) Reset() {
 	m.data = nil
 	m.frames = m.frames[:0]
 	m.recycleChoices()
-	m.occ = m.occ[:0]
-	m.occValid = false
 	m.buffered = 0
 	c.ResetStats()
 }
 
-// frameKind distinguishes the two speculation-stack frame flavours.
-type frameKind uint8
-
-const (
-	fQuant frameKind = iota // counter sub-RE: OPEN with counters
-	fGroup                  // alternation chain / alternative sub-RE
-)
-
 // frame is the execution-status snapshot pushed when a complex opening
-// operator is encountered: the quantification bounds, the current match
-// count, the sub-matching state, the latest matched position, and the
-// data-stream address at sub-pattern entry (paper §6 (D)).
+// operator is encountered (paper §6 (D)). Only the dynamic state lives
+// in the frame — the match count, the data-stream address at sub-RE
+// entry and at the current iteration's entry; the static part (frame
+// flavour, quantification bounds and modality, exit and next-alternative
+// addresses) is read from the entering operator's micro-op at openPC.
 type frame struct {
-	kind    frameKind
-	openPC  int
-	exitPC  int
-	nextAlt int // next alternative's OPEN; -1 when none
-	min     int
-	max     int // -1 for unbounded
-	lazy    bool
+	openPC  int32
 	count   int
 	enterDP int // data pointer at sub-RE entry
 	iterDP  int // data pointer at current iteration entry
@@ -389,14 +383,17 @@ type machine struct {
 	// cooperative poll (every CancelCheckCycles cycles).
 	ctx      context.Context
 	ctxCheck int64
-	// prefilter occurrence cache (per data stream).
-	occ      []int
-	occValid bool
+	// limit is the next cycle count at which a check falls due: the
+	// smaller of budget and (when cancellable) ctxCheck. The step loop
+	// compares against it alone.
+	limit int64
 }
 
 // machine rebinds the core's scratch machine to a new data stream,
-// keeping the grown arenas.
-func (c *Core) machine(data []byte) *machine {
+// keeping the grown arenas, and arms cooperative cancellation when ctx
+// carries a cancel signal (a nil or never-cancelled context adds no
+// per-cycle work).
+func (c *Core) machine(ctx context.Context, data []byte) *machine {
 	m := &c.scratch
 	m.core = c
 	m.data = data
@@ -413,12 +410,40 @@ func (c *Core) machine(data []byte) *machine {
 		m.budget = c.fault
 	}
 	m.ctx = nil
+	if ctx != nil && ctx.Done() != nil {
+		m.ctx = ctx
+		m.ctxCheck = m.st.Cycles // poll on the first executed cycle
+	}
+	m.rearm()
 	m.buffered = 0
 	m.frames = m.frames[:0]
 	m.recycleChoices()
-	m.occ = m.occ[:0]
-	m.occValid = false
 	return m
+}
+
+// rearm recomputes limit from the budget and the next cancellation poll.
+func (m *machine) rearm() {
+	m.limit = m.budget
+	if m.ctx != nil && m.ctxCheck < m.limit {
+		m.limit = m.ctxCheck
+	}
+}
+
+// poll runs the checks that fell due at the current cycle count: the
+// cycle budget (ErrRunaway) and the cooperative cancellation poll.
+func (m *machine) poll() error {
+	if m.st.Cycles >= m.budget {
+		m.st.Runaways++
+		return ErrRunaway
+	}
+	if m.ctx != nil && m.st.Cycles >= m.ctxCheck {
+		if cerr := m.ctx.Err(); cerr != nil {
+			return cerr
+		}
+		m.ctxCheck = m.st.Cycles + CancelCheckCycles
+	}
+	m.rearm()
+	return nil
 }
 
 // recycleChoices moves every pending choice's snapshot onto the free
@@ -431,7 +456,7 @@ func (m *machine) recycleChoices() {
 			m.det.SpecFlushes += int64(n)
 		}
 		if m.core != nil && m.core.tracer != nil && m.st != nil {
-			m.emit(EvSpecFlush, 0, n, isa.Instr{})
+			m.emit(EvSpecFlush, 0, n)
 		}
 	}
 	for i := range m.choices {
@@ -440,18 +465,6 @@ func (m *machine) recycleChoices() {
 		}
 	}
 	m.choices = m.choices[:0]
-}
-
-// machineCtx rebinds the scratch machine like machine and additionally
-// arms cooperative cancellation when ctx carries a cancel signal (a nil
-// or never-cancelled context adds no per-cycle work).
-func (c *Core) machineCtx(ctx context.Context, data []byte) *machine {
-	m := c.machine(data)
-	if ctx != nil && ctx.Done() != nil {
-		m.ctx = ctx
-		m.ctxCheck = m.st.Cycles // poll on the first executed cycle
-	}
-	return m
 }
 
 // Find reports the leftmost match in data.
@@ -468,12 +481,12 @@ func (c *Core) FindCtx(ctx context.Context, data []byte) (Match, bool, error) {
 
 // FindFrom reports the leftmost match starting at or after from.
 func (c *Core) FindFrom(data []byte, from int) (Match, bool, error) {
-	return c.machine(data).search(from)
+	return c.machine(nil, data).search(from)
 }
 
 // FindFromCtx is FindFrom with cooperative cancellation.
 func (c *Core) FindFromCtx(ctx context.Context, data []byte, from int) (Match, bool, error) {
-	return c.machineCtx(ctx, data).search(from)
+	return c.machine(ctx, data).search(from)
 }
 
 // FindAll returns all non-overlapping matches (leftmost-first). A
@@ -493,7 +506,7 @@ func (c *Core) FindAllCtx(ctx context.Context, data []byte, limit int) ([]Match,
 // execution died in, so a caller may resume past it.
 func (c *Core) FindAllFromCtx(ctx context.Context, data []byte, from, limit int) ([]Match, error) {
 	var out []Match
-	m := c.machineCtx(ctx, data)
+	m := c.machine(ctx, data)
 	if from < 0 {
 		from = 0
 	}
@@ -528,7 +541,7 @@ func (c *Core) Count(data []byte) (int, error) {
 // the overlapped compute units when the first instruction is a base
 // operator, then each candidate runs a full speculative attempt.
 func (m *machine) search(from int) (Match, bool, error) {
-	code := m.core.code
+	first := &m.core.ops[0]
 	cus := m.core.cfg.ComputeUnits
 	start := from
 	if start < 0 {
@@ -539,28 +552,12 @@ func (m *machine) search(from int) (Match, bool, error) {
 			return Match{}, false, m.execErr(start, cerr)
 		}
 	}
-	scanFirst := code[0].HasBase()
-	if !scanFirst {
-		if h := m.core.prefilterHint(); h != nil {
-			return m.searchPrefiltered(from, h)
-		}
-	}
+	scanFirst := first.isBase()
 	for start <= len(m.data) {
 		if scanFirst {
-			cand := start
-			for cand < len(m.data) {
-				if m.ctx != nil && cand&0xFFFF == 0xFFFF {
-					// The candidate scan can cover a whole window between
-					// attempts; poll every 64 KiB so cancellation stays
-					// responsive on huge match-free stretches.
-					if cerr := m.ctx.Err(); cerr != nil {
-						return Match{}, false, m.execErr(cand, cerr)
-					}
-				}
-				if _, ok := code[0].MatchBase(m.data[cand:]); ok {
-					break
-				}
-				cand++
+			cand, cerr := m.scan(first, start)
+			if cerr != nil {
+				return Match{}, false, m.execErr(cand, cerr)
 			}
 			skipped := cand - start
 			if skipped > 0 {
@@ -571,7 +568,7 @@ func (m *machine) search(from int) (Match, bool, error) {
 					m.det.CyclesFetch += sc
 					m.chargeCUs(skipped, cus)
 				}
-				m.emit(EvScan, 0, cand, isa.Instr{})
+				m.emit(EvScan, 0, cand)
 			}
 			// Scanning consumes the stream from the data memory too.
 			m.touch(cand)
@@ -597,6 +594,51 @@ func (m *machine) search(from int) (Match, bool, error) {
 	return Match{}, false, nil
 }
 
+// scan is the overlapped compute units' candidate filter: it returns
+// the first offset at or after cand where the base micro-op first hits,
+// len(data) when none does. The scan can cover a whole window between
+// attempts, so a cancellable search polls its context every 64 KiB
+// (before testing each offset whose low 16 bits are all ones) to stay
+// responsive on huge match-free stretches.
+func (m *machine) scan(first *uop, cand int) (int, error) {
+	data := m.data
+	for cand < len(data) {
+		stop := len(data)
+		if m.ctx != nil {
+			next := cand | 0xFFFF
+			if next == cand {
+				if cerr := m.ctx.Err(); cerr != nil {
+					return cand, cerr
+				}
+				next += 0x10000
+			}
+			stop = min(stop, next)
+		}
+		if first.kind == opSet {
+			set := &m.core.sets[first.arg]
+			for ; cand < stop; cand++ {
+				if set.has(data[cand]) {
+					return cand, nil
+				}
+			}
+			continue
+		}
+		for cand < stop {
+			i := bytes.IndexByte(data[cand:stop], first.lit[0])
+			if i < 0 {
+				cand = stop
+				break
+			}
+			cand += i
+			if first.matchAND(data, cand) {
+				return cand, nil
+			}
+			cand++
+		}
+	}
+	return cand, nil
+}
+
 // chargeRetry attributes a faulted attempt's cycles to RetriedCycles
 // when the fault is in the recoverable class: the policy layer retries
 // exactly that region (Degrade re-scans it on the safe engine, Skip
@@ -619,144 +661,163 @@ func (m *machine) execErr(offset int, err error) error {
 }
 
 // attempt executes the program once with the match anchored at start,
-// returning the end of the match on success.
+// returning the end of the match on success. It is the one dispatch
+// loop: the instrumentation bindings are read once into locals, and the
+// per-step counters nothing reads mid-attempt (Instructions, BaseOps,
+// OpenOps) accumulate in locals and are retired on every exit.
 func (m *machine) attempt(start int) (end int, ok bool, err error) {
-	code := m.core.code
+	ops, sets, data := m.core.ops, m.core.sets, m.data
+	st, det := m.st, m.det
+	tracing := m.core.tracer != nil
 	m.frames = m.frames[:0]
 	m.recycleChoices()
-	m.st.Attempts++
+	st.Attempts++
+	if tracing {
+		m.emit(EvAttempt, 0, start)
+	}
+	var instrs, baseOps, openOps int64
 	pc, dp := 0, start
-	m.emit(EvAttempt, 0, start, isa.Instr{})
-
+	var alive bool
+loop:
 	for {
-		if m.st.Cycles >= m.budget {
-			m.st.Runaways++
-			return 0, false, ErrRunaway
-		}
-		if m.ctx != nil && m.st.Cycles >= m.ctxCheck {
-			if cerr := m.ctx.Err(); cerr != nil {
-				return 0, false, cerr
+		if st.Cycles >= m.limit {
+			if err = m.poll(); err != nil {
+				break
 			}
-			m.ctxCheck = m.st.Cycles + CancelCheckCycles
 		}
-		if pc < 0 || pc >= len(code) {
-			return 0, false, fmt.Errorf("%w: pc %d outside program", ErrIntegrity, pc)
+		if uint(pc) >= uint(len(ops)) {
+			err = fmt.Errorf("%w: pc %d outside program", ErrIntegrity, pc)
+			break
 		}
-		in := code[pc]
-		m.st.Cycles++
-		m.st.Instructions++
-		if m.det != nil {
-			// Stage attribution mirrors the dispatch switch below: every
-			// cycle lands in exactly one pipeline stage.
-			switch {
-			case in.IsEoR(), in.Open:
-				m.det.CyclesDecode++
-			case in.HasBase():
-				m.det.CyclesExecute++
+		op := &ops[pc]
+		st.Cycles++
+		instrs++
+		if tracing {
+			m.emit(EvExec, pc, dp)
+		}
+		// Each case attributes its cycle to one pipeline stage when
+		// detailed metrics are on. Base operators with a fused close and
+		// standalone closes fall through to the close below the switch;
+		// every other case continues or leaves the loop.
+		switch op.kind {
+		case opSet, opAND:
+			baseOps++
+			if det != nil {
+				det.CyclesExecute++
 				m.core.cuBusy[0]++
-			default:
-				m.det.CyclesAggregate++
 			}
-		}
-		m.emit(EvExec, pc, dp, in)
-
-		switch {
-		case in.IsEoR():
-			m.emit(EvMatch, pc, dp, in)
-			return dp, true, nil
-
-		case in.Open:
-			m.st.OpenOps++
-			npc, err := m.open(in, pc, dp)
-			if err != nil {
-				return 0, false, err
+			m.touch(dp + int(op.n))
+			var hit bool
+			if op.kind == opSet {
+				hit = dp < len(data) && sets[op.arg].has(data[dp])
+			} else {
+				hit = op.matchAND(data, dp)
 			}
-			pc = npc
-
-		case in.HasBase():
-			m.st.BaseOps++
-			m.touch(dp + in.Consumes())
-			n, hit := in.MatchBase(m.data[min(dp, len(m.data)):])
 			if !hit {
-				npc, ndp, alive := m.mismatch(in, pc)
-				if !alive {
-					return 0, false, nil
+				if pc, dp, alive = m.mismatch(op, pc); !alive {
+					break loop
 				}
-				pc, dp = npc, ndp
 				continue
 			}
-			dp += n
-			if in.Close == isa.CloseNone {
+			dp += int(op.n)
+			if op.close == isa.CloseNone {
 				pc++
 				continue
 			}
-			npc, ndp, alive, err := m.close(in.Close, pc, dp)
-			if err != nil {
-				return 0, false, err
-			}
-			if !alive {
-				return 0, false, nil
-			}
-			pc, dp = npc, ndp
 
-		case in.Close != isa.CloseNone:
-			npc, ndp, alive, err := m.close(in.Close, pc, dp)
-			if err != nil {
-				return 0, false, err
+		case opOpenGroup:
+			openOps++
+			if det != nil {
+				det.CyclesDecode++
 			}
-			if !alive {
-				return 0, false, nil
+			if op.arg >= 0 {
+				// Speculate: if this alternative mismatches anywhere,
+				// resume at the next alternative's entering operator with
+				// the entry data pointer.
+				if err = m.speculate(int(op.arg), dp, m.frames); err != nil {
+					break loop
+				}
 			}
-			pc, dp = npc, ndp
+			if err = m.push(pc, dp); err != nil {
+				break loop
+			}
+			pc++
+			continue
+
+		case opOpenQuant:
+			openOps++
+			if det != nil {
+				det.CyclesDecode++
+			}
+			if err = m.push(pc, dp); err != nil {
+				break loop
+			}
+			if pc, err = m.boundary(dp); err != nil {
+				break loop
+			}
+			continue
+
+		case opClose:
+			if det != nil {
+				det.CyclesAggregate++
+			}
+
+		case opEoR:
+			if det != nil {
+				det.CyclesDecode++
+			}
+			if tracing {
+				m.emit(EvMatch, pc, dp)
+			}
+			end, ok = dp, true
+			break loop
 
 		default:
-			return 0, false, fmt.Errorf("%w: undecodable instruction at pc %d", ErrIntegrity, pc)
+			err = fmt.Errorf("%w: undecodable instruction at pc %d", ErrIntegrity, pc)
+			break loop
+		}
+		// The closing operator (paper §6 (D)): ")|" leaves the
+		// alternation for its exit, ")" steps past itself, and the
+		// quantifier closes run the counter decision.
+		st.CloseOps++
+		if len(m.frames) == 0 {
+			err = fmt.Errorf("%w: close at pc %d with empty stack", ErrIntegrity, pc)
+			break
+		}
+		f := &m.frames[len(m.frames)-1]
+		open := &ops[f.openPC]
+		switch op.close {
+		case isa.CloseAlt, isa.ClosePlain:
+			if open.kind != opOpenGroup {
+				err = fmt.Errorf("%w: %q at pc %d over a counter sub-RE", ErrIntegrity, op.close, pc)
+				break loop
+			}
+			m.pop()
+			if op.close == isa.CloseAlt {
+				pc = int(open.exit)
+			} else {
+				pc++
+			}
+		case isa.CloseQuantGreedy, isa.CloseQuantLazy:
+			if open.kind != opOpenQuant {
+				err = fmt.Errorf("%w: quantifier close at pc %d over non-counter sub-RE", ErrIntegrity, pc)
+				break loop
+			}
+			if pc, dp, alive, err = m.closeQuant(f, open, dp); err != nil || !alive {
+				break loop
+			}
+		default:
+			err = fmt.Errorf("%w: unknown close %v at pc %d", ErrIntegrity, op.close, pc)
+			break loop
 		}
 	}
-}
-
-// open executes an entering sub-RE operator: it pushes the execution
-// status to the speculation stack and, for counters, runs the boundary
-// decision; for alternation it records the alternative path.
-func (m *machine) open(in isa.Instr, pc, dp int) (int, error) {
-	exit := pc + in.Fwd
-	if in.MinEn || in.MaxEn {
-		f := frame{
-			kind:    fQuant,
-			openPC:  pc,
-			exitPC:  exit,
-			nextAlt: -1,
-			min:     int(in.Min),
-			max:     -1,
-			lazy:    in.Lazy,
-			enterDP: dp,
-			iterDP:  dp,
-		}
-		if in.MaxEn && in.Max != isa.Unbounded {
-			f.max = int(in.Max)
-		}
-		if !in.MinEn {
-			f.min = 0
-		}
-		if err := m.push(f); err != nil {
-			return 0, err
-		}
-		return m.boundary(dp)
+	st.Instructions += instrs
+	st.BaseOps += baseOps
+	st.OpenOps += openOps
+	if err != nil {
+		return 0, false, err
 	}
-	f := frame{kind: fGroup, openPC: pc, exitPC: exit, nextAlt: -1, enterDP: dp, iterDP: dp}
-	if in.BwdEn {
-		f.nextAlt = pc + in.Bwd
-		// Speculate: if this alternative mismatches anywhere, resume at
-		// the next alternative's entering operator with the entry data
-		// pointer.
-		if err := m.speculate(f.nextAlt, dp, m.frames); err != nil {
-			return 0, err
-		}
-	}
-	if err := m.push(f); err != nil {
-		return 0, err
-	}
-	return pc + 1, nil
+	return end, ok, nil
 }
 
 // boundary runs the counter decision of the paper's controller: repeat
@@ -764,85 +825,61 @@ func (m *machine) open(in isa.Instr, pc, dp int) (int, error) {
 // according to the greedy or lazy modality.
 func (m *machine) boundary(dp int) (int, error) {
 	f := &m.frames[len(m.frames)-1]
-	switch {
-	case f.count < f.min:
+	op := &m.core.ops[f.openPC]
+	body := int(f.openPC) + 1
+	switch hi := op.qmax(); {
+	case f.count < op.qmin():
 		f.iterDP = dp
-		return f.openPC + 1, nil
-	case f.max >= 0 && f.count >= f.max:
-		exit := f.exitPC
+		return body, nil
+	case hi >= 0 && f.count >= hi:
 		m.pop()
-		return exit, nil
-	case f.lazy:
+		return int(op.exit), nil
+	case op.flags&flagLazy != 0:
 		// Lazy: speculate on the operation after the sub-RE; the
 		// alternative path repeats the body once more.
 		snap := m.snapshot(m.frames)
-		top := &snap[len(snap)-1]
-		top.iterDP = dp
-		if err := m.speculateSnap(f.openPC+1, dp, snap); err != nil {
+		snap[len(snap)-1].iterDP = dp
+		if err := m.speculateSnap(body, dp, snap); err != nil {
 			return 0, err
 		}
-		exit := f.exitPC
 		m.pop()
-		return exit, nil
+		return int(op.exit), nil
 	default:
 		// Greedy: speculate on re-matching the sub-RE; the alternative
 		// path exits past the close.
-		if err := m.speculate(f.exitPC, dp, m.frames[:len(m.frames)-1]); err != nil {
+		if err := m.speculate(int(op.exit), dp, m.frames[:len(m.frames)-1]); err != nil {
 			return 0, err
 		}
 		f.iterDP = dp
-		return f.openPC + 1, nil
+		return body, nil
 	}
 }
 
-// close executes a closing operator at pc with the data pointer dp.
-// alive == false means the whole attempt failed (rollback exhausted).
-func (m *machine) close(op isa.CloseOp, pc, dp int) (npc, ndp int, alive bool, err error) {
-	m.st.CloseOps++
-	if len(m.frames) == 0 {
-		return 0, 0, false, fmt.Errorf("%w: close at pc %d with empty stack", ErrIntegrity, pc)
+// closeQuant executes a quantifier close over the counter frame f
+// opened by open: it counts the iteration and runs the boundary
+// decision. alive == false means the whole attempt failed (rollback
+// exhausted).
+func (m *machine) closeQuant(f *frame, open *uop, dp int) (npc, ndp int, alive bool, err error) {
+	f.count++
+	if dp == f.iterDP {
+		// The iteration consumed no input. In the mandatory phase,
+		// empty matches satisfy the remaining minimum (a body that
+		// matched empty once can do so for every remaining copy). In
+		// the speculative phase, an empty iteration is rejected as a
+		// misprediction: the rollback first revisits the body's own
+		// pending alternatives (which may produce a non-empty
+		// iteration) and eventually the recorded loop exit. This
+		// mirrors PCRE's empty-loop rule.
+		if lo := open.qmin(); f.count <= lo {
+			f.count = lo
+			npc, err := m.boundary(dp)
+			return npc, dp, true, err
+		}
+		npc, ndp, alive := m.rollback()
+		return npc, ndp, alive, nil
 	}
-	f := &m.frames[len(m.frames)-1]
-	switch op {
-	case isa.CloseQuantGreedy, isa.CloseQuantLazy:
-		if f.kind != fQuant {
-			return 0, 0, false, fmt.Errorf("%w: quantifier close at pc %d over non-counter sub-RE", ErrIntegrity, pc)
-		}
-		f.count++
-		if dp == f.iterDP {
-			// The iteration consumed no input. In the mandatory phase,
-			// empty matches satisfy the remaining minimum (a body that
-			// matched empty once can do so for every remaining copy).
-			// In the speculative phase, an empty iteration is rejected
-			// as a misprediction: the rollback first revisits the
-			// body's own pending alternatives (which may produce a
-			// non-empty iteration) and eventually the recorded loop
-			// exit. This mirrors PCRE's empty-loop rule.
-			if f.count <= f.min {
-				f.count = f.min
-				npc, err := m.boundary(dp)
-				return npc, dp, true, err
-			}
-			npc, ndp, alive := m.rollback()
-			return npc, ndp, alive, nil
-		}
-		npc, err := m.boundary(dp)
-		return npc, dp, true, err
-	case isa.CloseAlt:
-		if f.kind != fGroup {
-			return 0, 0, false, fmt.Errorf("%w: \")|\" at pc %d over a counter sub-RE", ErrIntegrity, pc)
-		}
-		exit := f.exitPC
-		m.pop()
-		return exit, dp, true, nil
-	case isa.ClosePlain:
-		if f.kind != fGroup {
-			return 0, 0, false, fmt.Errorf("%w: \")\" at pc %d over a counter sub-RE", ErrIntegrity, pc)
-		}
-		m.pop()
-		return pc + 1, dp, true, nil
-	}
-	return 0, 0, false, fmt.Errorf("%w: unknown close %v at pc %d", ErrIntegrity, op, pc)
+	npc, err = m.boundary(dp)
+	return npc, dp, true, err
 }
 
 // mismatch handles a failed base operation: within an alternation chain
@@ -850,31 +887,26 @@ func (m *machine) close(op isa.CloseOp, pc, dp int) (npc, ndp int, alive bool, e
 // re-test the same character, so no snapshot is needed); otherwise it
 // rolls back the most recent speculation. alive == false means the
 // attempt failed.
-func (m *machine) mismatch(in isa.Instr, pc int) (npc, ndp int, alive bool) {
-	if len(m.frames) > 0 {
-		f := &m.frames[len(m.frames)-1]
-		if f.kind == fGroup && f.nextAlt < 0 {
+func (m *machine) mismatch(op *uop, pc int) (npc, ndp int, alive bool) {
+	if n := len(m.frames); n > 0 {
+		f := &m.frames[n-1]
+		if g := &m.core.ops[f.openPC]; g.kind == opOpenGroup && g.arg < 0 {
 			// Chain element stepping. A fused ")|" marks a non-final
 			// element; an unfused element is followed by its standalone
 			// ")|" close.
-			if in.Close == isa.CloseAlt {
+			step := 0
+			if op.close == isa.CloseAlt {
+				step = 1
+			} else if op.flags&flagChain != 0 {
+				step = 2
+			}
+			if step > 0 {
 				m.st.Cycles++
 				m.st.Rollbacks++
 				if m.det != nil {
 					m.det.CyclesAggregate++
 				}
-				return pc + 1, f.enterDP, true
-			}
-			if in.Close == isa.CloseNone && pc+1 < len(m.core.code) {
-				next := m.core.code[pc+1]
-				if !next.HasBase() && !next.Open && next.Close == isa.CloseAlt {
-					m.st.Cycles++
-					m.st.Rollbacks++
-					if m.det != nil {
-						m.det.CyclesAggregate++
-					}
-					return pc + 2, f.enterDP, true
-				}
+				return pc + step, f.enterDP, true
 			}
 		}
 	}
@@ -886,7 +918,7 @@ func (m *machine) rollback() (npc, ndp int, alive bool) {
 	if len(m.choices) == 0 {
 		return 0, 0, false
 	}
-	ch := m.choices[len(m.choices)-1]
+	ch := &m.choices[len(m.choices)-1]
 	m.choices = m.choices[:len(m.choices)-1]
 	m.frames = append(m.frames[:0], ch.frames...)
 	if ch.frames != nil {
@@ -898,7 +930,7 @@ func (m *machine) rollback() (npc, ndp int, alive bool) {
 		m.det.CyclesAggregate++
 		m.det.SpecPops++
 	}
-	m.emit(EvRollback, ch.pc, ch.dp, isa.Instr{})
+	m.emit(EvRollback, ch.pc, ch.dp)
 	return ch.pc, ch.dp, true
 }
 
@@ -914,7 +946,7 @@ func (m *machine) speculateSnap(pc, dp int, snap []frame) error {
 	}
 	m.choices = append(m.choices, choice{pc: pc, dp: dp, frames: snap})
 	m.st.Speculations++
-	m.emit(EvSpecPush, pc, dp, isa.Instr{})
+	m.emit(EvSpecPush, pc, dp)
 	if d := len(m.choices) + len(m.frames); d > m.st.MaxStackDepth {
 		m.st.MaxStackDepth = d
 	}
@@ -933,14 +965,26 @@ func (m *machine) snapshot(frames []frame) []frame {
 	return append([]frame(nil), frames...)
 }
 
-// push adds a frame to the structural stack, enforcing the hardware
-// stack capacity (frames and choices share the physical stack memory).
-func (m *machine) push(f frame) error {
-	if len(m.frames)+len(m.choices) >= m.core.cfg.StackDepth {
+// push opens a frame for the entering operator at pc on the structural
+// stack, enforcing the hardware stack capacity (frames and choices
+// share the physical stack memory). The frame is written in place in
+// the arena slot.
+func (m *machine) push(pc, dp int) error {
+	n := len(m.frames)
+	if n+len(m.choices) >= m.core.cfg.StackDepth {
 		return ErrStackOverflow
 	}
-	m.frames = append(m.frames, f)
-	if d := len(m.frames) + len(m.choices); d > m.st.MaxStackDepth {
+	if n < cap(m.frames) {
+		m.frames = m.frames[:n+1]
+	} else {
+		m.frames = append(m.frames, frame{})
+	}
+	f := &m.frames[n]
+	f.openPC = int32(pc)
+	f.count = 0
+	f.enterDP = dp
+	f.iterDP = dp
+	if d := n + 1 + len(m.choices); d > m.st.MaxStackDepth {
 		m.st.MaxStackDepth = d
 	}
 	return nil
@@ -964,6 +1008,13 @@ func (m *machine) touch(dp int) {
 			m.det.L1Hits++
 		}
 	}
+	if dp > m.buffered {
+		m.refill(dp)
+	}
+}
+
+// refill advances the small RAM's window until it buffers dp.
+func (m *machine) refill(dp int) {
 	for dp > m.buffered {
 		m.buffered += m.core.cfg.SmallRAMSize
 		m.st.Cycles += int64(m.core.cfg.RefillCycles)

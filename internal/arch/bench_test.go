@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"alveare/internal/anmlzoo"
 	"alveare/internal/backend"
 )
 
@@ -69,4 +70,34 @@ func BenchmarkFindAllDense(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkProtomataRules runs every rule of the seeded Protomata suite
+// on its own core over the suite's seeded protein buffer — the
+// workload on which no screening stage helps, so the exact engine's
+// per-step cost is the whole cost. It reports host time per input byte
+// (summed over the rule set) and per modelled instruction.
+func BenchmarkProtomataRules(b *testing.B) {
+	s, err := anmlzoo.ByName("Protomata", 0, 8<<10, 2024)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cores := make([]*Core, len(s.Patterns))
+	for i, re := range s.Patterns {
+		cores[i] = benchCore(b, re)
+	}
+	var instrs int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, c := range cores {
+			c.Reset()
+			if _, err := c.FindAll(s.Dataset, 0); err != nil {
+				b.Fatal(err)
+			}
+			instrs += c.Stats().Instructions
+		}
+	}
+	ns := float64(b.Elapsed().Nanoseconds())
+	b.ReportMetric(ns/float64(b.N)/float64(len(s.Dataset)), "ns/byte")
+	b.ReportMetric(ns/float64(instrs), "ns/instr")
 }

@@ -1,134 +1,129 @@
 package arch
 
 import (
+	"bytes"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"alveare/internal/backend"
+	"alveare/internal/isa"
 )
 
-func prefilteredCore(t *testing.T, re string) *Core {
-	t.Helper()
-	p, err := backend.Compile(re, backend.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig()
-	cfg.EnablePrefilter = true
-	c, err := NewCore(p, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
+// The compiler attaches a necessary-factor hint (isa.Program.Hint) to
+// programs; the cross-rule literal prefilter in internal/prefilter
+// dispatches on it. The exact engine does not read it. These tests pin
+// both halves of that contract against the exact engine.
+
+var hintPatterns = []string{
+	"(GET|POST) /index",
+	"(foo|bar)baz",
+	"(a|b){2}needle[0-9]?",
+	"(x|y)?WORD",
+	"(alpha|beta|gamma)-tail",
+	"(a|bb)END",
 }
 
-// TestPrefilterEquivalence: enabling the prefilter never changes
-// results — matches, positions, FindAll sets — across patterns and
-// random inputs.
-func TestPrefilterEquivalence(t *testing.T) {
-	patterns := []string{
-		"(GET|POST) /index",
-		"(foo|bar)baz",
-		"(a|b){2}needle[0-9]?",
-		"(x|y)?WORD",
-		"(alpha|beta|gamma)-tail",
-	}
-	r := rand.New(rand.NewSource(61))
+// hintInputs are random concatenations of pieces that do and do not
+// complete the hint patterns.
+func hintInputs(seed int64, n int) [][]byte {
+	r := rand.New(rand.NewSource(seed))
 	pieces := []string{"GET /index", "POST /index", "foobaz", "barbaz", "abneedle7",
-		"xWORD", "WORD", "beta-tail", " ", "noise", "GET /x", "baz", "needle"}
-	for _, re := range patterns {
-		plain := mustCore(t, re, backend.Options{})
-		fast := prefilteredCore(t, re)
-		if fast.prefilterHint() == nil {
-			t.Fatalf("%q: no usable prefilter hint", re)
+		"xWORD", "WORD", "beta-tail", " ", "noise", "GET /x", "baz", "needle", "aEND", "bbEND", "EN"}
+	out := make([][]byte, n)
+	for i := range out {
+		var sb strings.Builder
+		for j := 0; j < r.Intn(8); j++ {
+			sb.WriteString(pieces[r.Intn(len(pieces))])
 		}
-		for trial := 0; trial < 50; trial++ {
-			var sb strings.Builder
-			for i := 0; i < r.Intn(8); i++ {
-				sb.WriteString(pieces[r.Intn(len(pieces))])
-			}
-			data := []byte(sb.String())
-			m1, ok1, err1 := plain.Find(data)
-			m2, ok2, err2 := fast.Find(data)
-			if err1 != nil || err2 != nil {
-				t.Fatal(err1, err2)
-			}
-			if ok1 != ok2 || m1 != m2 {
-				t.Fatalf("%q on %q: plain %v/%v, prefiltered %v/%v", re, data, m1, ok1, m2, ok2)
-			}
-			a1, err := plain.FindAll(data, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			a2, err := fast.FindAll(data, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(a1) != len(a2) {
-				t.Fatalf("%q on %q: FindAll %v vs %v", re, data, a1, a2)
-			}
-			for i := range a1 {
-				if a1[i] != a2[i] {
-					t.Fatalf("%q on %q: FindAll[%d] %v vs %v", re, data, i, a1[i], a2[i])
-				}
-			}
-		}
+		out[i] = []byte(sb.String())
 	}
+	return out
 }
 
-// TestPrefilterSavesCycles: on sparse data an alternation-led pattern
-// costs far fewer cycles with the literal prefilter.
-func TestPrefilterSavesCycles(t *testing.T) {
-	const re = "(GET|POST|HEAD|PUT) /admin"
-	data := []byte(strings.Repeat("x", 64<<10) + "GET /admin")
-	plain := mustCore(t, re, backend.Options{})
-	fast := prefilteredCore(t, re)
-	m1, ok1, err := plain.Find(data)
-	if err != nil || !ok1 {
-		t.Fatal(ok1, err)
-	}
-	m2, ok2, err := fast.Find(data)
-	if err != nil || !ok2 || m1 != m2 {
-		t.Fatal(ok2, err, m1, m2)
-	}
-	cp, cf := plain.Stats().Cycles, fast.Stats().Cycles
-	if cf*4 > cp {
-		t.Errorf("prefilter saved too little: %d vs %d cycles", cf, cp)
-	}
-}
-
-// TestPrefilterMissesNothingAtBoundaries: candidates at the very start
-// and end of the stream.
-func TestPrefilterMissesNothingAtBoundaries(t *testing.T) {
-	fast := prefilteredCore(t, "(a|bb)END")
-	for _, in := range []string{"aEND", "bbEND", "aENDtail", "xxaEND", "END", "aEN"} {
-		plain := mustCore(t, "(a|bb)END", backend.Options{})
-		m1, ok1, _ := plain.Find([]byte(in))
-		m2, ok2, err := fast.Find([]byte(in))
+// TestPrefilterEquivalence: the hint is metadata. A program with its
+// hint and the same program with the hint stripped produce the same
+// matches and the same cycle-level counters.
+func TestPrefilterEquivalence(t *testing.T) {
+	for _, re := range hintPatterns {
+		hinted, err := backend.Compile(re, backend.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ok1 != ok2 || m1 != m2 {
-			t.Errorf("on %q: plain %v/%v, prefiltered %v/%v", in, m1, ok1, m2, ok2)
+		if hinted.Hint == nil {
+			t.Fatalf("%q: compiler attached no hint", re)
+		}
+		bare := &isa.Program{Source: hinted.Source, Code: hinted.Code}
+		for _, data := range hintInputs(61, 50) {
+			a, err := NewCore(hinted, DefaultConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := NewCore(bare, DefaultConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			ma, erra := a.FindAll(data, 0)
+			mb, errb := b.FindAll(data, 0)
+			if erra != nil || errb != nil {
+				t.Fatal(erra, errb)
+			}
+			if len(ma) != len(mb) {
+				t.Fatalf("%q on %q: hinted %v, bare %v", re, data, ma, mb)
+			}
+			for i := range ma {
+				if ma[i] != mb[i] {
+					t.Fatalf("%q on %q: hinted %v, bare %v", re, data, ma, mb)
+				}
+			}
+			if a.Stats() != b.Stats() {
+				t.Fatalf("%q on %q: hinted stats %+v, bare %+v", re, data, a.Stats(), b.Stats())
+			}
 		}
 	}
 }
 
-// TestPrefilterDisabledByDefault: the baseline design ignores hints.
-func TestPrefilterDisabledByDefault(t *testing.T) {
-	p, err := backend.Compile("(foo|bar)baz", backend.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Hint == nil {
-		t.Fatal("compiler attached no hint")
-	}
-	c, err := NewCore(p, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.prefilterHint() != nil {
-		t.Error("prefilter active without opting in")
+// TestPrefilterMissesNothingAtBoundaries: the hint is sound. Every
+// match the exact engine reports contains the hint literal starting
+// between PreMin and PreMax bytes after the match start, including
+// matches at the very start and end of the stream, so a prefilter
+// that dispatches a rule only where its literal occurs misses nothing.
+func TestPrefilterMissesNothingAtBoundaries(t *testing.T) {
+	edges := [][]byte{[]byte("aEND"), []byte("bbEND"), []byte("aENDtail"), []byte("xxaEND"),
+		[]byte("END"), []byte("aEN"), []byte("GET /index"), []byte("xWORD")}
+	inputs := append(edges, hintInputs(62, 50)...)
+	for _, re := range hintPatterns {
+		p, err := backend.Compile(re, backend.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := p.Hint
+		c, err := NewCore(p, DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, data := range inputs {
+			ms, err := c.FindAll(data, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range ms {
+				span := data[m.Start:m.End]
+				if !bytes.Contains(span, h.Literal) {
+					t.Fatalf("%q on %q: match %v lacks hint literal %q", re, data, m, h.Literal)
+				}
+				if h.PreMax < 0 {
+					continue
+				}
+				found := false
+				for k := h.PreMin; k <= h.PreMax && !found; k++ {
+					found = bytes.HasPrefix(span[min(k, len(span)):], h.Literal)
+				}
+				if !found {
+					t.Fatalf("%q on %q: match %v has no %q within [%d,%d] of its start",
+						re, data, m, h.Literal, h.PreMin, h.PreMax)
+				}
+			}
+		}
 	}
 }

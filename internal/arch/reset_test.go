@@ -40,9 +40,6 @@ func TestResetRecyclesCore(t *testing.T) {
 	if core.scratch.data != nil {
 		t.Error("Reset retained a reference to the previous input")
 	}
-	if core.scratch.occValid || len(core.scratch.occ) != 0 {
-		t.Error("Reset retained the prefilter occurrence cache")
-	}
 	if cap(core.scratch.frames) != framesCap || cap(core.scratch.choices) != choicesCap {
 		t.Errorf("Reset dropped arena capacity: frames %d->%d choices %d->%d",
 			framesCap, cap(core.scratch.frames), choicesCap, cap(core.scratch.choices))

@@ -82,18 +82,27 @@ func TextTracer(w io.Writer) Tracer {
 	}
 }
 
-// emit forwards an event to the tracer when one is installed.
-func (m *machine) emit(kind EventKind, pc, dp int, in isa.Instr) {
-	t := m.core.tracer
-	if t == nil {
-		return
+// emit forwards an event to the tracer when one is installed (small
+// enough to inline, so an untraced call site costs one nil check).
+func (m *machine) emit(kind EventKind, pc, dp int) {
+	if m.core.tracer != nil {
+		m.trace(kind, pc, dp)
 	}
-	t(TraceEvent{
+}
+
+// trace builds and delivers one event. Exec and match events carry the
+// instruction at pc, read from the program (the canonical form), not
+// from the decoded micro-ops.
+func (m *machine) trace(kind EventKind, pc, dp int) {
+	ev := TraceEvent{
 		Kind:       kind,
 		Cycle:      m.st.Cycles,
 		PC:         pc,
 		DP:         dp,
 		StackDepth: len(m.frames) + len(m.choices),
-		Instr:      in,
-	})
+	}
+	if kind == EvExec || kind == EvMatch {
+		ev.Instr = m.core.prog.Code[pc]
+	}
+	m.core.tracer(ev)
 }

@@ -549,7 +549,6 @@ func ablationConfigs() []ablationConfig {
 		{"minimal compiler", backend.Minimal(), id},
 		{"1 compute unit", backend.Options{}, func(c arch.Config) arch.Config { c.ComputeUnits = 1; return c }},
 		{"2 compute units", backend.Options{}, func(c arch.Config) arch.Config { c.ComputeUnits = 2; return c }},
-		{"literal prefilter (extension)", backend.Options{}, func(c arch.Config) arch.Config { c.EnablePrefilter = true; return c }},
 	}
 }
 

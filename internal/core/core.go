@@ -134,14 +134,6 @@ func WithTracer(t arch.Tracer) Option {
 	return func(s *settings) { s.tracer = t }
 }
 
-// WithPrefilter enables the compiler's necessary-factor hint: when the
-// program opens with a complex operator, candidate start offsets are
-// narrowed to the neighbourhoods of a required literal's occurrences.
-// Results are unchanged; only cycles drop.
-func WithPrefilter() Option {
-	return func(s *settings) { s.cfg.EnablePrefilter = true }
-}
-
 // WithDFA enables the hybrid fast path: a lazy (on-the-fly
 // determinised) DFA gates every probe — proving absence in one linear
 // pass — before the precise speculative engine runs, and a RuleSet

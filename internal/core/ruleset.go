@@ -112,16 +112,10 @@ func NewRuleSet(patterns []string, copt backend.Options, opts ...Option) (*RuleS
 	}
 	rs.pools = make([]sync.Pool, len(rs.progs))
 	for i := range rs.pools {
-		prog := rs.progs[i]
-		rs.pools[i].New = func() any {
-			// The program passed validation when its engine was built,
-			// so NewCore cannot fail here.
-			c, err := arch.NewCore(prog, rs.cfg)
-			if err != nil {
-				return nil
-			}
-			return c
-		}
+		// Pooled cores are clones of the rule's engine core: they share
+		// its decoded program, decoded once per rule.
+		proto := rs.engines[i].single
+		rs.pools[i].New = func() any { return proto.Clone() }
 	}
 	if s.dfa {
 		rs.useDFA = true
@@ -275,18 +269,11 @@ func (rs *RuleSet) workerCount(jobs int) int {
 
 // getCore borrows the i-th rule's scanning core, reset for a new input,
 // with the rule set's tracer (if any) installed.
-func (rs *RuleSet) getCore(i int) (*arch.Core, error) {
-	if c, ok := rs.pools[i].Get().(*arch.Core); ok && c != nil {
-		c.Reset()
-		c.SetTracer(rs.tracer)
-		return c, nil
-	}
-	c, err := arch.NewCore(rs.progs[i], rs.cfg)
-	if err != nil {
-		return nil, err
-	}
+func (rs *RuleSet) getCore(i int) *arch.Core {
+	c := rs.pools[i].Get().(*arch.Core)
+	c.Reset()
 	c.SetTracer(rs.tracer)
-	return c, nil
+	return c
 }
 
 // merge folds one fan-out's telemetry into the roll-ups: per[i] is each
@@ -336,10 +323,7 @@ func (rs *RuleSet) scanRule(ctx context.Context, i int, data []byte) (ms []Match
 			err = &ScanError{Rule: i, Offset: -1, Cause: fmt.Errorf("rule fault: %v", r)}
 		}
 	}()
-	core, cerr := rs.getCore(i)
-	if cerr != nil {
-		return nil, st, scanErrFor(i, cerr)
-	}
+	core := rs.getCore(i)
 	var fallbacks int64
 	var ferr error
 	if dfa := rs.getDFA(i); dfa != nil {
@@ -499,10 +483,7 @@ func (rs *RuleSet) scanRuleWindow(ctx context.Context, i int, buf []byte, base i
 			err = &ScanError{Rule: i, Offset: int64(from), Cause: fmt.Errorf("rule fault: %v", r)}
 		}
 	}()
-	core, cerr := rs.getCore(i)
-	if cerr != nil {
-		return nil, st, from, sticky, scanErrFor(i, cerr)
-	}
+	core := rs.getCore(i)
 	var fallbacks int64
 	g := &guarded{
 		core:       core,

@@ -279,25 +279,23 @@ func TestEngineReaderMatchesFindAll(t *testing.T) {
 	}
 }
 
-// TestRuleSetPoolClearsPrefilterCache is a regression pin for the
-// prefilter occurrence cache on pooled cores. With WithPrefilter, a
-// hinted rule ("(foo|bar)needle" carries the mandatory literal
-// "needle") caches the literal's occurrence offsets for the input it
-// scanned (occ/occValid in the machine scratch). RuleSet recycles
-// cores through a sync.Pool between Scan calls, so a Reset that failed
-// to invalidate that cache would scan the SECOND input with the FIRST
-// input's candidate offsets — missing matches or fabricating them.
-// Scan two inputs with the literal at disjoint offsets through one
-// RuleSet and demand each result equals a fresh RuleSet's.
-func TestRuleSetPoolClearsPrefilterCache(t *testing.T) {
-	rules := []string{`(foo|bar)needle`}
-	// Input A: occurrences early. Input B: padding shifts every
-	// occurrence far from A's offsets (and drops one).
+// TestRuleSetPoolRecyclesCores is a regression pin for pooled cores.
+// RuleSet recycles cores through a sync.Pool between Scan calls, and
+// every pooled core is a clone sharing its rule's decoded program, so
+// any per-input state a Reset failed to clear (or any clone writing to
+// the shared micro-ops) would scan the SECOND input with state left by
+// the FIRST — missing matches or fabricating them. Scan two inputs with
+// matches at disjoint offsets through one RuleSet and demand each
+// result equals a fresh RuleSet's.
+func TestRuleSetPoolRecyclesCores(t *testing.T) {
+	rules := []string{`(foo|bar)needle`, `[a-z]{2,4}?dle`}
+	// Input A: matches early. Input B: padding shifts every match far
+	// from A's offsets (and drops one).
 	inA := []byte("fooneedle....barneedle" + strings.Repeat(".", 400))
 	inB := []byte(strings.Repeat(".", 300) + "fooneedle" + strings.Repeat(".", 100))
 
 	scanFresh := func(data []byte) []RuleMatches {
-		rs, err := NewRuleSet(rules, backend.Options{}, WithPrefilter())
+		rs, err := NewRuleSet(rules, backend.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -308,7 +306,7 @@ func TestRuleSetPoolClearsPrefilterCache(t *testing.T) {
 		return out
 	}
 
-	rs, err := NewRuleSet(rules, backend.Options{}, WithPrefilter())
+	rs, err := NewRuleSet(rules, backend.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +321,7 @@ func TestRuleSetPoolClearsPrefilterCache(t *testing.T) {
 			}
 		}
 	}
-	// Sanity: the inputs really exercise the hinted path differently.
+	// Sanity: the inputs really differ in what they match.
 	if a, b := scanFresh(inA), scanFresh(inB); len(a) == 0 || len(b) == 0 ||
 		len(a[0].Matches) != 2 || len(b[0].Matches) != 1 {
 		t.Fatalf("fixture drifted: A=%v B=%v", a, b)

@@ -99,12 +99,13 @@ func New(p *isa.Program, n int, cfg arch.Config, overlap int) (*Engine, error) {
 		overlap = DefaultOverlap
 	}
 	e := &Engine{prog: p, cfg: cfg, overlap: overlap}
-	for i := 0; i < n; i++ {
-		c, err := arch.NewCore(p, cfg)
-		if err != nil {
-			return nil, err
-		}
-		e.cores = append(e.cores, c)
+	c, err := arch.NewCore(p, cfg)
+	if err != nil {
+		return nil, err
+	}
+	e.cores = append(e.cores, c)
+	for i := 1; i < n; i++ {
+		e.cores = append(e.cores, c.Clone())
 	}
 	return e, nil
 }
