@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt race check chaostest gwchaostest difftest fuzz fuzzsmoke leakcheck benchguard benchbaseline bench serve loadtest
+.PHONY: build test vet fmt perfcheck race check chaostest gwchaostest difftest fuzz fuzzsmoke leakcheck benchguard benchbaseline bench serve loadtest
 
 build:
 	$(GO) build ./...
@@ -15,16 +15,23 @@ vet:
 fmt:
 	test -z "$$(gofmt -l .)"
 
+## perfcheck: perfbench/ (the BENCHMARK.json harness) is its own Go
+## module, so `go vet ./...` never builds it; vet and test it here so
+## an API change cannot break the benchmark silently.
+perfcheck:
+	cd perfbench && $(GO) vet ./... && $(GO) test -count=1 ./...
+
 ## race: the concurrency gate — the concurrent RuleSet scanner and the
 ## streaming reader tests all run under the race detector.
 race:
 	$(GO) test -race ./...
 
-## check: the full local CI gate — gofmt, vet, everything under the race
-## detector (including the goroutine-leak assertions in the fault
-## matrix), the differential battery, the seeded chaos suite, then a
-## short fuzz pass over the differential fuzzers.
-check: fmt vet race difftest leakcheck chaostest gwchaostest fuzzsmoke
+## check: the full local CI gate — gofmt, vet, the perfbench module's
+## vet and tests, everything under the race detector (including the
+## goroutine-leak assertions in the fault matrix), the differential
+## battery, the seeded chaos suite, then a short fuzz pass over the
+## differential fuzzers.
+check: fmt vet perfcheck race difftest leakcheck chaostest gwchaostest fuzzsmoke
 
 ## difftest: the three-way differential battery under -race — the
 ## lazy-DFA fast path, the exact slow path and Go's regexp (plus the

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+
+	"alveare/internal/stream"
 )
 
 // ErrBadCheckpoint reports a stream checkpoint that failed structural
@@ -36,9 +38,10 @@ const (
 	streamCkptRuleSticky = 1 << 0
 	streamCkptRuleDead   = 1 << 1
 
-	streamCkptHeaderLen = 1 + 1 + 4 + 8 + 4
-	streamCkptMaxOffset = 1 << 62 // u64→int safety fence
-	streamCkptMaxRules  = 1 << 20
+	streamCkptHeaderLen  = 1 + 1 + 4 + 8 + 4
+	streamCkptMaxOffset  = 1 << 62 // u64→int safety fence
+	streamCkptMaxOverlap = 1 << 30
+	streamCkptMaxRules   = 1 << 20
 )
 
 // Export serialises the stream's resumable state — consumed offset,
@@ -53,8 +56,9 @@ const (
 // errors.Is identity.
 func (st *Stream) Export() []byte {
 	n := len(st.pos)
-	limit := st.base + len(st.buf)
-	size := streamCkptHeaderLen + len(st.buf) + 4 + n*9
+	buf, base := st.carry.Window()
+	limit := base + len(buf)
+	size := streamCkptHeaderLen + len(buf) + 4 + n*9
 	msgs := make([]string, n)
 	for i := 0; i < n; i++ {
 		if st.dead[i] != nil {
@@ -73,10 +77,10 @@ func (st *Stream) Export() []byte {
 		flags |= streamCkptFlagDone
 	}
 	out = append(out, flags)
-	out = binary.BigEndian.AppendUint32(out, uint32(st.overlap))
-	out = binary.BigEndian.AppendUint64(out, uint64(st.base))
-	out = binary.BigEndian.AppendUint32(out, uint32(len(st.buf)))
-	out = append(out, st.buf...)
+	out = binary.BigEndian.AppendUint32(out, uint32(st.Overlap()))
+	out = binary.BigEndian.AppendUint64(out, uint64(base))
+	out = binary.BigEndian.AppendUint32(out, uint32(len(buf)))
+	out = append(out, buf...)
 	out = binary.BigEndian.AppendUint32(out, uint32(n))
 	for i := 0; i < n; i++ {
 		var rf byte
@@ -102,6 +106,58 @@ func (st *Stream) Export() []byte {
 	return out
 }
 
+// ckptHeader is a stream checkpoint's decoded header: everything up
+// to and including the rule count. rules is the per-rule records that
+// follow it.
+type ckptHeader struct {
+	done    bool
+	overlap uint32
+	base    uint64
+	window  []byte // aliases the checkpoint
+	nrules  uint32
+	rules   []byte
+}
+
+// decodeCkptHeader parses and validates a checkpoint's header — the
+// one decoder RestoreStream and PeekCheckpoint share, so a header one
+// of them rejects the other rejects too.
+func decodeCkptHeader(cp []byte) (ckptHeader, error) {
+	var h ckptHeader
+	if len(cp) < streamCkptHeaderLen {
+		return h, fmt.Errorf("%w: %d bytes, want >= %d", ErrBadCheckpoint, len(cp), streamCkptHeaderLen)
+	}
+	if cp[0] != streamCkptVersion {
+		return h, fmt.Errorf("%w: version %d", ErrBadCheckpoint, cp[0])
+	}
+	if cp[1]&^byte(streamCkptFlagDone) != 0 {
+		return h, fmt.Errorf("%w: unknown flags 0x%02x", ErrBadCheckpoint, cp[1])
+	}
+	h.done = cp[1]&streamCkptFlagDone != 0
+	h.overlap = binary.BigEndian.Uint32(cp[2:6])
+	h.base = binary.BigEndian.Uint64(cp[6:14])
+	blen := uint64(binary.BigEndian.Uint32(cp[14:18]))
+	if h.overlap == 0 || h.overlap > streamCkptMaxOverlap {
+		return h, fmt.Errorf("%w: overlap %d", ErrBadCheckpoint, h.overlap)
+	}
+	if h.base > streamCkptMaxOffset {
+		return h, fmt.Errorf("%w: offset overflow", ErrBadCheckpoint)
+	}
+	if !h.done && blen > uint64(h.overlap) {
+		return h, fmt.Errorf("%w: %d buffered bytes exceed overlap %d", ErrBadCheckpoint, blen, h.overlap)
+	}
+	off := streamCkptHeaderLen + blen
+	if uint64(len(cp)) < off+4 {
+		return h, fmt.Errorf("%w: truncated carry window", ErrBadCheckpoint)
+	}
+	h.window = cp[streamCkptHeaderLen:off]
+	h.nrules = binary.BigEndian.Uint32(cp[off : off+4])
+	if h.nrules > streamCkptMaxRules {
+		return h, fmt.Errorf("%w: rule count %d", ErrBadCheckpoint, h.nrules)
+	}
+	h.rules = cp[off+4:]
+	return h, nil
+}
+
 // RestoreStream rebuilds a push-mode stream from an Export checkpoint.
 // The rule set must be equivalent to the exporter's (same rules in the
 // same order — the rule count is verified, the patterns are the
@@ -109,51 +165,25 @@ func (st *Stream) Export() []byte {
 // input yields ErrBadCheckpoint, never a panic or a stream that
 // silently diverges.
 func (rs *RuleSet) RestoreStream(cp []byte) (*Stream, error) {
-	if len(cp) < streamCkptHeaderLen {
-		return nil, fmt.Errorf("%w: %d bytes, want >= %d", ErrBadCheckpoint, len(cp), streamCkptHeaderLen)
+	h, err := decodeCkptHeader(cp)
+	if err != nil {
+		return nil, err
 	}
-	if cp[0] != streamCkptVersion {
-		return nil, fmt.Errorf("%w: version %d", ErrBadCheckpoint, cp[0])
-	}
-	if cp[1]&^byte(streamCkptFlagDone) != 0 {
-		return nil, fmt.Errorf("%w: unknown flags 0x%02x", ErrBadCheckpoint, cp[1])
-	}
-	done := cp[1]&streamCkptFlagDone != 0
-	overlap := binary.BigEndian.Uint32(cp[2:6])
-	base := binary.BigEndian.Uint64(cp[6:14])
-	blen := binary.BigEndian.Uint32(cp[14:18])
-	if overlap == 0 || overlap > 1<<30 {
-		return nil, fmt.Errorf("%w: overlap %d", ErrBadCheckpoint, overlap)
-	}
-	if base > streamCkptMaxOffset {
-		return nil, fmt.Errorf("%w: offset overflow", ErrBadCheckpoint)
-	}
-	if !done && uint64(blen) > uint64(overlap) {
-		return nil, fmt.Errorf("%w: %d buffered bytes exceed overlap %d", ErrBadCheckpoint, blen, overlap)
-	}
-	off := uint64(streamCkptHeaderLen)
-	if uint64(len(cp)) < off+uint64(blen)+4 {
-		return nil, fmt.Errorf("%w: truncated carry window", ErrBadCheckpoint)
-	}
-	buf := make([]byte, blen)
-	copy(buf, cp[off:off+uint64(blen)])
-	off += uint64(blen)
-	nrules := binary.BigEndian.Uint32(cp[off : off+4])
-	off += 4
-	if nrules > streamCkptMaxRules {
-		return nil, fmt.Errorf("%w: rule count %d", ErrBadCheckpoint, nrules)
-	}
+	nrules := h.nrules
 	if int(nrules) != rs.Len() {
 		return nil, fmt.Errorf("%w: checkpoint has %d rules, rule set has %d", ErrBadCheckpoint, nrules, rs.Len())
 	}
-	limit := base + uint64(blen)
+	base := h.base
+	limit := base + uint64(len(h.window))
 	posMax := limit
-	if done {
+	if h.done {
 		posMax = limit + 1
 	}
 	pos := make([]int, nrules)
 	sticky := make([]bool, nrules)
 	dead := make([]error, nrules)
+	cp = h.rules
+	off := uint64(0)
 	for i := uint32(0); i < nrules; i++ {
 		if uint64(len(cp)) < off+9 {
 			return nil, fmt.Errorf("%w: truncated rule %d", ErrBadCheckpoint, i)
@@ -192,14 +222,12 @@ func (rs *RuleSet) RestoreStream(cp []byte) (*Stream, error) {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadCheckpoint, uint64(len(cp))-off)
 	}
 	return &Stream{
-		rs:      rs,
-		overlap: int(overlap),
-		buf:     buf,
-		base:    int(base),
-		pos:     pos,
-		sticky:  sticky,
-		dead:    dead,
-		done:    done,
+		rs:     rs,
+		carry:  stream.ResumeCarry(int(h.overlap), int(base), append([]byte(nil), h.window...)),
+		pos:    pos,
+		sticky: sticky,
+		dead:   dead,
+		done:   h.done,
 	}, nil
 }
 
@@ -217,33 +245,18 @@ type CheckpointInfo struct {
 }
 
 // PeekCheckpoint parses a stream checkpoint's header without restoring
-// it. It validates the same structural invariants as RestoreStream up
-// to (not including) the per-rule records' contents.
+// it. It rejects every header RestoreStream rejects; the per-rule
+// records and their count against a rule set are not checked.
 func PeekCheckpoint(cp []byte) (CheckpointInfo, error) {
-	if len(cp) < streamCkptHeaderLen {
-		return CheckpointInfo{}, fmt.Errorf("%w: %d bytes, want >= %d", ErrBadCheckpoint, len(cp), streamCkptHeaderLen)
+	h, err := decodeCkptHeader(cp)
+	if err != nil {
+		return CheckpointInfo{}, err
 	}
-	if cp[0] != streamCkptVersion {
-		return CheckpointInfo{}, fmt.Errorf("%w: version %d", ErrBadCheckpoint, cp[0])
-	}
-	if cp[1]&^byte(streamCkptFlagDone) != 0 {
-		return CheckpointInfo{}, fmt.Errorf("%w: unknown flags 0x%02x", ErrBadCheckpoint, cp[1])
-	}
-	info := CheckpointInfo{
-		Done:    cp[1]&streamCkptFlagDone != 0,
-		Overlap: binary.BigEndian.Uint32(cp[2:6]),
-	}
-	base := binary.BigEndian.Uint64(cp[6:14])
-	blen := binary.BigEndian.Uint32(cp[14:18])
-	if info.Overlap == 0 || base > streamCkptMaxOffset {
-		return CheckpointInfo{}, fmt.Errorf("%w: bad header", ErrBadCheckpoint)
-	}
-	off := uint64(streamCkptHeaderLen) + uint64(blen)
-	if uint64(len(cp)) < off+4 {
-		return CheckpointInfo{}, fmt.Errorf("%w: truncated carry window", ErrBadCheckpoint)
-	}
-	info.Buffered = uint64(blen)
-	info.Consumed = base + uint64(blen)
-	info.Rules = binary.BigEndian.Uint32(cp[off : off+4])
-	return info, nil
+	return CheckpointInfo{
+		Consumed: h.base + uint64(len(h.window)),
+		Buffered: uint64(len(h.window)),
+		Overlap:  h.overlap,
+		Rules:    h.nrules,
+		Done:     h.done,
+	}, nil
 }

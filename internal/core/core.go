@@ -62,7 +62,9 @@ type settings struct {
 	approxStates int
 }
 
-// WithCores selects the scale-out width (default 1, the single core).
+// WithCores selects an Engine's scale-out width (default 1, the single
+// core). A RuleSet ignores it: it parallelises over rules instead
+// (WithWorkers).
 func WithCores(n int) Option {
 	return func(s *settings) { s.cores = n }
 }
@@ -201,12 +203,13 @@ func WithApproxStates(n int) Option {
 // Engine executes one compiled RE over data streams, on a single core
 // or on the scale-out configuration.
 type Engine struct {
-	prog   *Program
-	single *arch.Core
-	multi  *multicore.Engine
-	stream stream.Config
-	policy Policy
-	safe   *safeVM
+	prog    *Program
+	single  *arch.Core
+	multi   *multicore.Engine
+	chunk   int // reader-scan refill size (WithChunkSize)
+	overlap int // reader-scan boundary carry (WithOverlap)
+	policy  Policy
+	safe    *safeVM
 	// guard accumulates the engine-layer guardrail counters (Fallbacks,
 	// CancelledScans); Stats() merges them with the core's counters. It
 	// follows the engine's single-goroutine discipline.
@@ -239,10 +242,11 @@ func NewEngine(p *Program, opts ...Option) (*Engine, error) {
 		return nil, fmt.Errorf("core: %d cores", s.cores)
 	}
 	e := &Engine{
-		prog:   p,
-		stream: stream.Config{ChunkSize: s.chunk, Overlap: s.overlap},
-		policy: s.policy,
-		safe:   newSafeVM(p.Source),
+		prog:    p,
+		chunk:   s.chunk,
+		overlap: s.overlap,
+		policy:  s.policy,
+		safe:    newSafeVM(p.Source),
 	}
 	single, err := arch.NewCore(p, s.cfg)
 	if err != nil {
@@ -329,24 +333,19 @@ func (e *Engine) Cores() int {
 	return 1
 }
 
-// guarded builds a policy-applying finder over the engine's single
-// core, crediting fallbacks to the engine's guard counters. Each call
-// returns a fresh finder so sticky degradation is scoped to one scan.
-func (e *Engine) guarded() *guarded {
-	return &guarded{
+// finder builds the per-scan finder: the policy-applying guarded
+// engine over the single core, crediting fallbacks to the engine's
+// guard counters, wrapped by the lazy-DFA gate when the fast path is
+// enabled. Each call returns a fresh finder, so sticky degradation and
+// gate stickiness (a cache bail disabling the gate) are scoped to one
+// scan.
+func (e *Engine) finder() stream.Finder {
+	g := &guarded{
 		core:       e.single,
 		vm:         e.safe,
 		policy:     e.policy,
 		onFallback: func() { e.guard.Fallbacks++ },
 	}
-}
-
-// finder builds the per-scan finder: the policy-applying guarded
-// engine, wrapped by the lazy-DFA gate when the fast path is enabled.
-// Gate stickiness (a cache bail disabling the gate) is scoped to one
-// scan, like the guarded finder's sticky degradation.
-func (e *Engine) finder() stream.Finder {
-	g := e.guarded()
 	if e.dfa == nil {
 		return g
 	}
@@ -431,7 +430,7 @@ func (e *Engine) FindAllCtx(ctx context.Context, data []byte) ([]Match, error) {
 // byte-identical matches.
 func (e *Engine) findAllSingle(ctx context.Context, data []byte) ([]Match, error) {
 	if e.dfa != nil {
-		return findAllWith(ctx, e.finder(), data)
+		return findAllWith(ctx, e.finder(), data, 0)
 	}
 	return resilientFindAll(ctx, e.single, e.safe, e.policy, data, func() { e.guard.Fallbacks++ })
 }
@@ -467,32 +466,36 @@ func (e *Engine) ScanReader(r io.Reader, emit func(m Match, text []byte) bool) (
 // failure policy applied per window. A cancelled scan returns the bytes
 // consumed so far together with a *ScanError wrapping ctx.Err().
 func (e *Engine) ScanReaderCtx(ctx context.Context, r io.Reader, emit func(m Match, text []byte) bool) (int64, error) {
-	cfg := e.stream
-	if e.admit != nil {
-		// Screen each overlap window; windows proven clean never reach
-		// the finder. The settle bookkeeping attributes emitted matches
-		// to the admitted window they arrived in (windows are scanned
-		// strictly in order on this one goroutine).
-		admitted, hits := false, 0
-		settle := func() {
-			if admitted && hits > 0 {
+	c := stream.NewCarry(e.overlap)
+	f := e.finder()
+	pos := 0 // the one resume offset; each window carries from it
+	_, err := c.Pull(ctx, r, e.chunk, func(_ int, final bool) (bool, error) {
+		e.streamCtr.Windows++
+		buf, base := c.Window()
+		if e.admit != nil && !e.screenData(buf) {
+			// The window is proven clean: advance exactly as a no-match
+			// scan would and never reach the finder.
+			pos = c.Skip(pos, final)
+		} else {
+			before := e.streamCtr.Matches
+			npos, cont, werr := stream.ScanWindowCtx(ctx, f, buf, base, final, c.Overlap(), pos,
+				func(m Match, text []byte) bool {
+					e.streamCtr.Matches++
+					return emit(m, text)
+				})
+			pos = npos
+			if e.admit != nil && e.streamCtr.Matches > before {
 				e.approxCtr.ExactHitWindows++
 			}
-			admitted, hits = false, 0
+			if werr != nil || !cont {
+				return false, werr
+			}
 		}
-		cfg.Screen = func(buf []byte) bool {
-			settle()
-			admitted = e.screenData(buf)
-			return admitted
-		}
-		inner := emit
-		emit = func(m Match, text []byte) bool { hits++; return inner(m, text) }
-		defer settle()
-	}
-	sc := stream.ForFinder(e.finder(), cfg)
-	sc.SetCounters(&e.streamCtr)
-	n, err := sc.ScanCtx(ctx, r, stream.EmitFunc(emit))
-	return n, e.fail(err)
+		c.Cut(pos)
+		return true, nil
+	})
+	e.streamCtr.Bytes += c.Consumed()
+	return c.Consumed(), e.fail(err)
 }
 
 // FindReader returns every match in the stream, reading r to EOF one
@@ -554,7 +557,7 @@ func (e *Engine) runMultiCtx(ctx context.Context, data []byte) (multicore.Result
 			// Re-scan the whole extended window on the safe engine; the
 			// ownership filter keeps the result set disjoint from the
 			// neighbouring chunks exactly as it does for healthy cores.
-			ms, ferr := e.safe.findAll(ctx, data[f.Chunk.Lo:f.Chunk.Ext], 0)
+			ms, ferr := findAllWith(ctx, e.safe, data[f.Chunk.Lo:f.Chunk.Ext], 0)
 			res.Matches = append(res.Matches, stream.OwnMatches(ms, f.Chunk.Lo, f.Chunk.Hi)...)
 			if ferr != nil {
 				return res, e.fail(ferr)

@@ -27,10 +27,9 @@ import (
 type RuleSet struct {
 	patterns []string
 	progs    []*isa.Program
-	engines  []*Engine
-	cfg      arch.Config
 	workers  int
-	stream   stream.Config
+	chunk    int // reader-scan refill size (WithChunkSize)
+	overlap  int // stream boundary carry (WithOverlap)
 	policy   Policy
 
 	// safes hold one lazily-compiled safe-engine fallback per rule,
@@ -38,7 +37,8 @@ type RuleSet struct {
 	// slice is shared across concurrent scans.
 	safes []*safeVM
 
-	// pools hold per-rule scanning cores; Get yields a Reset core whose
+	// pools hold per-rule scanning cores, clones of one loaded core per
+	// rule that share its decoded program; Get yields a Reset core whose
 	// speculation-stack arenas survive recycling (arch.Core.Reset). A
 	// core whose scan panicked is abandoned, never pooled again.
 	pools []sync.Pool
@@ -66,8 +66,7 @@ type RuleSet struct {
 	// fan-out. admit is nil when the stage is off; it is kept even
 	// when the build degraded to admit-all so metrics can report the
 	// degradation, but screening is skipped then (admit.AdmitAll()).
-	useApprox bool
-	admit     *approx.Filter
+	admit *approx.Filter
 
 	mu         sync.Mutex   // guards the roll-ups below
 	agg        arch.Stats   // aggregate across all rules and scans
@@ -80,42 +79,38 @@ type RuleSet struct {
 }
 
 // NewRuleSet compiles every pattern with the given compiler options and
-// builds one engine per rule.
+// builds each rule once: its program, a loaded prototype core for its
+// scanning pool, its safe-engine fallback and, with WithDFA, its
+// lazy-DFA program. WithCores is ignored (see WithCores).
 func NewRuleSet(patterns []string, copt backend.Options, opts ...Option) (*RuleSet, error) {
-	s := settings{cores: 1, cfg: arch.DefaultConfig()}
+	s := settings{cfg: arch.DefaultConfig()}
 	for _, o := range opts {
 		o(&s)
 	}
 	rs := &RuleSet{
 		patterns: append([]string(nil), patterns...),
-		cfg:      s.cfg,
 		workers:  s.workers,
-		stream:   stream.Config{ChunkSize: s.chunk, Overlap: s.overlap},
+		chunk:    s.chunk,
+		overlap:  s.overlap,
 		policy:   s.policy,
 		tracer:   s.tracer,
 		perRule:  make([]arch.Stats, len(patterns)),
+		pools:    make([]sync.Pool, len(patterns)),
 	}
-	for _, re := range rs.patterns {
-		rs.safes = append(rs.safes, newSafeVM(re))
-	}
-	for i, re := range patterns {
+	for i, re := range rs.patterns {
 		p, err := CompileWith(re, copt)
 		if err != nil {
 			return nil, fmt.Errorf("core: rule %d %q: %w", i, re, err)
 		}
-		eng, err := NewEngine(p, opts...)
+		proto, err := arch.NewCore(p, s.cfg)
 		if err != nil {
 			return nil, err
 		}
-		rs.progs = append(rs.progs, p)
-		rs.engines = append(rs.engines, eng)
-	}
-	rs.pools = make([]sync.Pool, len(rs.progs))
-	for i := range rs.pools {
-		// Pooled cores are clones of the rule's engine core: they share
-		// its decoded program, decoded once per rule.
-		proto := rs.engines[i].single
+		// Pooled cores are clones of the prototype: they share its
+		// decoded program, decoded once per rule.
 		rs.pools[i].New = func() any { return proto.Clone() }
+		rs.progs = append(rs.progs, p)
+		rs.safes = append(rs.safes, newSafeVM(re))
 	}
 	if s.dfa {
 		rs.useDFA = true
@@ -143,7 +138,6 @@ func NewRuleSet(patterns []string, copt backend.Options, opts ...Option) (*RuleS
 		rs.bitsPool.New = func() any { return prefilter.NewBits(len(rs.patterns)) }
 	}
 	if s.approx {
-		rs.useApprox = true
 		// One filter for the union of every rule: a clean window skips
 		// the whole fan-out. The filter is kept even when the build
 		// degraded to admit-all so metrics can report the degradation.
@@ -155,7 +149,7 @@ func NewRuleSet(patterns []string, copt backend.Options, opts ...Option) (*RuleS
 // ApproxEnabled reports whether the admission stage (WithApprox) is
 // active on this rule set (true even when the filter degraded to
 // admit-all — see ApproxFilter().AdmitAll()).
-func (rs *RuleSet) ApproxEnabled() bool { return rs.useApprox }
+func (rs *RuleSet) ApproxEnabled() bool { return rs.admit != nil }
 
 // ApproxFilter returns the rule set's admission filter, nil when off.
 func (rs *RuleSet) ApproxFilter() *approx.Filter { return rs.admit }
@@ -241,13 +235,10 @@ func (rs *RuleSet) putBits(bits prefilter.Bits) {
 }
 
 // Len returns the number of rules.
-func (rs *RuleSet) Len() int { return len(rs.engines) }
+func (rs *RuleSet) Len() int { return len(rs.progs) }
 
 // Pattern returns the i-th rule's source.
 func (rs *RuleSet) Pattern(i int) string { return rs.patterns[i] }
-
-// Engine returns the i-th rule's engine.
-func (rs *RuleSet) Engine(i int) *Engine { return rs.engines[i] }
 
 // Workers returns the scan concurrency bound (0 means GOMAXPROCS).
 func (rs *RuleSet) Workers() int { return rs.workers }
@@ -300,6 +291,67 @@ func (rs *RuleSet) merge(per []arch.Stats, occ []int64, sent int64, windows, nr 
 	rs.streamCtr.Bytes += nr
 }
 
+// fanOut runs job for each live rule (live nil: every rule) on the
+// worker pool and waits for them. cand is the prefilter's candidate
+// mask (nil dispatches every live rule; fanOut recycles it): a live
+// rule it withholds goes to skip (if set) instead. The prefilter's
+// dispatch counters join the roll-up; each worker slot's completed-job
+// count and the number of jobs sent are returned for merge.
+func (rs *RuleSet) fanOut(cand prefilter.Bits, live func(i int) bool, skip func(i int), job func(i int)) (occ []int64, sent int64) {
+	n := rs.Len()
+	occ = make([]int64, rs.workerCount(n))
+	jobs := make(chan int)
+	var wg sync.WaitGroup
+	for w := range occ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := range jobs {
+				job(i)
+				occ[w]++
+			}
+		}(w)
+	}
+	var skipped int64
+	for i := 0; i < n; i++ {
+		if live != nil && !live(i) {
+			continue
+		}
+		if cand != nil && !cand.Has(i) {
+			if skip != nil {
+				skip(i)
+			}
+			skipped++
+			continue
+		}
+		jobs <- i
+		sent++
+	}
+	close(jobs)
+	wg.Wait()
+	rs.putBits(cand)
+	rs.countPrefilter(sent, skipped)
+	return occ, sent
+}
+
+// countPrefilter folds one pass's prefilter dispatch counts into the
+// fast-path roll-up.
+func (rs *RuleSet) countPrefilter(sent, skipped int64) {
+	if rs.useDFA {
+		rs.mu.Lock()
+		rs.fast.PrefilterPasses += sent
+		rs.fast.PrefilterSkips += skipped
+		rs.mu.Unlock()
+	}
+}
+
+// cancelled counts one scan aborted by cancellation.
+func (rs *RuleSet) cancelled() {
+	rs.mu.Lock()
+	rs.agg.CancelledScans++
+	rs.mu.Unlock()
+}
+
 // RuleMatches reports one rule's hits in a scanned stream.
 type RuleMatches struct {
 	Rule    int
@@ -311,38 +363,63 @@ type RuleMatches struct {
 	Err error
 }
 
-// scanRule runs one rule over data with the failure policy applied,
-// recovering a panicking core into a *ScanError so one faulty rule (or
-// a corrupted pooled core) cannot take down the whole scan. The core
-// is returned to the rule's pool only on a normal return — a panicked
-// core is abandoned.
-func (rs *RuleSet) scanRule(ctx context.Context, i int, data []byte) (ms []Match, st arch.Stats, err error) {
+// withRule borrows rule i's pooled core and, when the fast path gates
+// the rule, its lazy DFA, and runs fn with the per-scan finder (the
+// gate over the policy-applying guarded core, degraded from the start
+// when sticky is set) and the guarded core itself. It returns the core
+// to its pool, folds the gate's counters into the roll-up and returns
+// the core's counters, the guarded core's degraded state and fn's error
+// as a *ScanError. A panic inside fn is recovered into a *ScanError at
+// offset off and the core is abandoned, so one faulty rule (or a
+// corrupted pooled core) cannot take down the whole scan.
+func (rs *RuleSet) withRule(i int, off int64, sticky bool, fn func(f stream.Finder, g *guarded) error) (st arch.Stats, degraded bool, err error) {
+	degraded = sticky
 	defer func() {
 		if r := recover(); r != nil {
-			ms = nil
-			err = &ScanError{Rule: i, Offset: -1, Cause: fmt.Errorf("rule fault: %v", r)}
+			err = &ScanError{Rule: i, Offset: off, Cause: fmt.Errorf("rule fault: %v", r)}
 		}
 	}()
 	core := rs.getCore(i)
 	var fallbacks int64
-	var ferr error
-	if dfa := rs.getDFA(i); dfa != nil {
-		g := &guarded{
-			core:       core,
-			vm:         rs.safes[i],
-			policy:     rs.policy,
-			onFallback: func() { fallbacks++ },
-		}
-		var fst FastStats
-		ms, ferr = findAllWith(ctx, &fastFinder{dfa: dfa, slow: g, st: &fst}, data)
+	g := &guarded{
+		core:       core,
+		vm:         rs.safes[i],
+		policy:     rs.policy,
+		degraded:   sticky,
+		onFallback: func() { fallbacks++ },
+	}
+	var f stream.Finder = g
+	dfa := rs.getDFA(i)
+	var fst FastStats
+	if dfa != nil {
+		// Gate stickiness (a cache bail) is scoped to this call; the
+		// next one retries the gate on a flushed cache.
+		f = &fastFinder{dfa: dfa, slow: g, st: &fst}
+	}
+	ferr := fn(f, g)
+	if dfa != nil {
 		rs.putDFA(i, dfa, &fst)
-	} else {
-		ms, ferr = resilientFindAll(ctx, core, rs.safes[i], rs.policy, data, func() { fallbacks++ })
 	}
 	st = core.Stats()
 	st.Fallbacks += fallbacks
 	rs.pools[i].Put(core)
-	return ms, st, scanErrFor(i, ferr)
+	return st, g.degraded, scanErrFor(i, ferr)
+}
+
+// scanRule runs one rule's one-shot FindAll over data with the failure
+// policy applied: through the DFA gate when the rule has one, straight
+// through the resilient policy loop otherwise.
+func (rs *RuleSet) scanRule(ctx context.Context, i int, data []byte) (ms []Match, st arch.Stats, err error) {
+	st, _, err = rs.withRule(i, -1, false, func(f stream.Finder, g *guarded) error {
+		var ferr error
+		if _, gated := f.(*fastFinder); gated {
+			ms, ferr = findAllWith(ctx, f, data, 0)
+		} else {
+			ms, ferr = resilientFindAll(ctx, g.core, g.vm, g.policy, data, g.onFallback)
+		}
+		return ferr
+	})
+	return ms, st, err
 }
 
 // Scan runs every rule over data on the worker pool and returns the
@@ -375,43 +452,12 @@ func (rs *RuleSet) ScanCtx(ctx context.Context, data []byte) ([]RuleMatches, err
 	// rule whose necessary literal is absent cannot match and is never
 	// dispatched (its result is exactly the empty result it would
 	// produce).
-	cand := rs.candidates(data)
 	matches := make([][]Match, n)
 	errs := make([]error, n)
 	per := make([]arch.Stats, n)
-	occ := make([]int64, rs.workerCount(n))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := range occ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := range jobs {
-				ms, st, err := rs.scanRule(ctx, i, data)
-				matches[i], errs[i] = ms, err
-				per[i] = st
-				occ[w]++
-			}
-		}(w)
-	}
-	var sent, skipped int64
-	for i := 0; i < n; i++ {
-		if cand != nil && !cand.Has(i) {
-			skipped++
-			continue
-		}
-		jobs <- i
-		sent++
-	}
-	close(jobs)
-	wg.Wait()
-	rs.putBits(cand)
-	if rs.useDFA {
-		rs.mu.Lock()
-		rs.fast.PrefilterPasses += sent
-		rs.fast.PrefilterSkips += skipped
-		rs.mu.Unlock()
-	}
+	occ, sent := rs.fanOut(rs.candidates(data), nil, nil, func(i int) {
+		matches[i], per[i], errs[i] = rs.scanRule(ctx, i, data)
+	})
 
 	var scanErr error
 	cancelled := false
@@ -430,9 +476,7 @@ func (rs *RuleSet) ScanCtx(ctx context.Context, data []byte) ([]RuleMatches, err
 	}
 	rs.merge(per, occ, sent, 0, 0)
 	if cancelled {
-		rs.mu.Lock()
-		rs.agg.CancelledScans++
-		rs.mu.Unlock()
+		rs.cancelled()
 	}
 
 	var out []RuleMatches
@@ -472,46 +516,22 @@ func (rs *RuleSet) ScanReader(r io.Reader, emit func(rule int, m Match, text []b
 }
 
 // scanRuleWindow runs one rule's window scan with the failure policy
-// applied, recovering panics as scanRule does. sticky carries the
-// rule's degraded state between windows so a rule that fell back to the
-// safe engine stays on it for the rest of the stream.
+// applied. sticky carries the rule's degraded state between windows so
+// a rule that fell back to the safe engine stays on it for the rest of
+// the stream.
 func (rs *RuleSet) scanRuleWindow(ctx context.Context, i int, buf []byte, base int, final bool, overlap, from int, sticky bool) (ms []Match, st arch.Stats, npos int, nowSticky bool, err error) {
-	npos, nowSticky = from, sticky
-	defer func() {
-		if r := recover(); r != nil {
-			ms = nil
-			err = &ScanError{Rule: i, Offset: int64(from), Cause: fmt.Errorf("rule fault: %v", r)}
-		}
-	}()
-	core := rs.getCore(i)
-	var fallbacks int64
-	g := &guarded{
-		core:       core,
-		vm:         rs.safes[i],
-		policy:     rs.policy,
-		degraded:   sticky,
-		onFallback: func() { fallbacks++ },
-	}
-	var f stream.Finder = g
-	dfa := rs.getDFA(i)
-	var fst FastStats
-	if dfa != nil {
-		// Gate stickiness (a cache bail) is scoped to this window; the
-		// next window retries the gate on a flushed cache.
-		f = &fastFinder{dfa: dfa, slow: g, st: &fst}
-	}
-	npos, _, werr := stream.ScanWindowCtx(ctx, f, buf, base, final, overlap, from,
-		func(m Match, _ []byte) bool {
-			ms = append(ms, m)
-			return true
-		})
-	if dfa != nil {
-		rs.putDFA(i, dfa, &fst)
-	}
-	st = core.Stats()
-	st.Fallbacks += fallbacks
-	rs.pools[i].Put(core)
-	return ms, st, npos, g.degraded, scanErrFor(i, werr)
+	npos = from
+	st, nowSticky, err = rs.withRule(i, int64(from), sticky, func(f stream.Finder, _ *guarded) error {
+		var got []Match
+		p, _, werr := stream.ScanWindowCtx(ctx, f, buf, base, final, overlap, from,
+			func(m Match, _ []byte) bool {
+				got = append(got, m)
+				return true
+			})
+		ms, npos = got, p
+		return werr
+	})
+	return ms, st, npos, nowSticky, err
 }
 
 // ScanReaderCtx is ScanReader with cooperative cancellation (checked
@@ -527,34 +547,20 @@ func (rs *RuleSet) scanRuleWindow(ctx context.Context, i int, buf []byte, base i
 // push-mode callers (the scan service's streaming sessions) use, so
 // the two paths cannot diverge: each refill is one Stream window.
 func (rs *RuleSet) ScanReaderCtx(ctx context.Context, r io.Reader, emit func(rule int, m Match, text []byte) bool) (int64, error) {
-	cfg := rs.stream
-	if cfg.ChunkSize <= 0 {
-		cfg.ChunkSize = stream.DefaultChunkSize
+	st := rs.NewStream(0)
+	done, err := st.carry.Pull(ctx, r, rs.chunk, func(nr int, final bool) (bool, error) {
+		return st.window(ctx, nr, final, emit)
+	})
+	if re, ok := err.(*stream.ReadError); ok {
+		// The refill or the between-window cancellation check failed;
+		// window faults arrive as *ScanError and pass through.
+		if isCancel(re.Err) {
+			rs.cancelled()
+		}
+		err = scanErrFor(-1, re)
 	}
-	st := rs.NewStream(cfg.Overlap)
-	final := false
-	for !final {
-		if cerr := ctx.Err(); cerr != nil {
-			rs.mu.Lock()
-			rs.agg.CancelledScans++
-			rs.mu.Unlock()
-			return st.Consumed(), scanErrFor(-1, &stream.ReadError{Offset: st.Consumed(), Err: cerr})
-		}
-		have := st.Buffered()
-		nr, err := io.ReadFull(r, st.grow(cfg.ChunkSize))
-		st.commit(have, nr)
-		switch err {
-		case nil:
-		case io.EOF, io.ErrUnexpectedEOF:
-			final = true
-		default:
-			// Consumed is the first byte the refill could not deliver.
-			return st.Consumed(), scanErrFor(-1, &stream.ReadError{Offset: st.Consumed(), Err: err})
-		}
-		cont, werr := st.window(ctx, nr, final, emit)
-		if werr != nil || !cont {
-			return st.Consumed(), werr
-		}
+	if !done {
+		return st.Consumed(), err
 	}
 	return st.Consumed(), errors.Join(st.dead...)
 }
@@ -565,19 +571,51 @@ func (rs *RuleSet) FirstMatch(data []byte) (rule int, ok bool, err error) {
 }
 
 // FirstMatchCtx is FirstMatch with cooperative cancellation. Rules are
-// probed in order; under Degrade and Skip a faulting rule is passed
-// over (its error is returned, joined, only when no later rule
-// matches), under FailFast the first fault aborts the probe.
+// probed in order through the same stages as ScanCtx — the rule-set
+// admission screen, the literal prefilter, each rule's DFA gate and
+// its pooled guarded core — and their counters join Stats. Under
+// Degrade and Skip a faulting rule is passed over (its error is
+// returned, joined, only when no later rule matches), under FailFast
+// the first fault aborts the probe.
 func (rs *RuleSet) FirstMatchCtx(ctx context.Context, data []byte) (rule int, ok bool, err error) {
+	n := rs.Len()
+	screened := rs.screening()
+	if n == 0 || screened && !rs.screenWindow(data) {
+		return 0, false, nil
+	}
+	cand := rs.candidates(data)
+	per := make([]arch.Stats, n)
+	var sent, skipped int64
+	defer func() {
+		rs.putBits(cand)
+		rs.merge(per, nil, 0, 0, 0)
+		rs.countPrefilter(sent, skipped)
+		if isCancel(err) {
+			rs.cancelled()
+		}
+		if screened && ok {
+			rs.creditExactHit()
+		}
+	}()
 	var deferred []error
-	for i, eng := range rs.engines {
-		hit, merr := eng.MatchCtx(ctx, data)
-		if merr != nil {
-			merr = scanErrFor(i, merr)
-			if isCancel(merr) || rs.policy == FailFast {
-				return 0, false, merr
+	for i := 0; i < n; i++ {
+		if cand != nil && !cand.Has(i) {
+			skipped++
+			continue
+		}
+		sent++
+		hit := false
+		var perr error
+		per[i], _, perr = rs.withRule(i, -1, false, func(f stream.Finder, _ *guarded) error {
+			_, found, ferr := f.FindFromCtx(ctx, data, 0)
+			hit = found
+			return ferr
+		})
+		if perr != nil {
+			if isCancel(perr) || rs.policy == FailFast {
+				return 0, false, perr
 			}
-			deferred = append(deferred, merr)
+			deferred = append(deferred, perr)
 			continue
 		}
 		if hit {
@@ -639,14 +677,4 @@ func (rs *RuleSet) ResetStats() {
 	rs.streamCtr = stream.Counters{}
 	rs.fast = FastStats{}
 	rs.approxCtr = ApproxStats{}
-}
-
-// TotalCycles sums the scan-pool aggregate and the per-rule engines'
-// single-core counters (the engines serve Find-style probes).
-func (rs *RuleSet) TotalCycles() int64 {
-	total := rs.Stats().Cycles
-	for _, eng := range rs.engines {
-		total += eng.Stats().Cycles
-	}
-	return total
 }

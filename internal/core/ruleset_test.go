@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -326,4 +328,101 @@ func TestRuleSetPoolRecyclesCores(t *testing.T) {
 		len(a[0].Matches) != 2 || len(b[0].Matches) != 1 {
 		t.Fatalf("fixture drifted: A=%v B=%v", a, b)
 	}
+}
+
+// TestFirstMatchParity holds FirstMatchCtx, which probes through the
+// rule set's pooled pipeline (admission screen, prefilter, DFA gate,
+// guarded core), to the parent semantics of probing one standalone
+// Engine per rule in rule order: a hostile rule ahead of healthy ones,
+// under a tight budget, for every policy with the DFA gate and the
+// admission stage on and off. Rule, ok flag and error must agree, and
+// Stats must gain exactly the cycles the probes spent.
+func TestFirstMatchParity(t *testing.T) {
+	rules := []string{`(a|aa)+b`, `needle`, `x[0-9]+y`}
+	run := strings.Repeat("a", 40)
+	inputs := []string{run + " needle x12y", run + "b", run, "clean traffic", "x1y then needle", ""}
+	for _, policy := range []Policy{FailFast, Degrade, Skip} {
+		for _, dfa := range []bool{false, true} {
+			for _, apx := range []bool{false, true} {
+				opts := []Option{WithBudget(20000), WithPolicy(policy)}
+				if dfa {
+					opts = append(opts, WithDFA())
+				}
+				if apx {
+					opts = append(opts, WithApprox())
+				}
+				rs, err := NewRuleSet(rules, backend.Options{}, opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, in := range inputs {
+					data := []byte(in)
+					name := fmt.Sprintf("%v dfa=%v approx=%v %.12q", policy, dfa, apx, in)
+					before := rs.Stats().Cycles
+					rule, ok, err := rs.FirstMatchCtx(context.Background(), data)
+					got := fmt.Sprint(rule, ok, err)
+					cycles := rs.Stats().Cycles - before
+
+					// The engines keep their own admission filters; the
+					// rule set screens once for the union of its rules.
+					engRule, engOK, engErr, _ := firstMatchByEngines(t, rules, policy, opts, data)
+					if want := fmt.Sprint(engRule, engOK, engErr); got != want {
+						// The one difference: a rule's own filter could prove
+						// it clean where the union screen admits the input
+						// for another rule. The rule's core then runs and,
+						// under FailFast, its budget trip aborts the probe —
+						// what ScanCtx does on the same input.
+						_, scanErr := rs.ScanCtx(context.Background(), data)
+						if !(apx && !dfa && policy == FailFast && errors.Is(err, ErrRunaway) && fmt.Sprint(scanErr) == fmt.Sprint(err)) {
+							t.Errorf("%s: FirstMatch = %s, engines give %s", name, got, want)
+						}
+					}
+
+					// Behind the union screen, engines without their own
+					// filters run exactly the rule set's probes.
+					wantRule, wantOK, wantErr, wantCycles := 0, false, error(nil), int64(0)
+					if f := rs.ApproxFilter(); f == nil || f.AdmitAll() || f.Suspect(data) {
+						wantRule, wantOK, wantErr, wantCycles = firstMatchByEngines(t, rules, policy, append(opts, WithoutApprox()), data)
+					}
+					if want := fmt.Sprint(wantRule, wantOK, wantErr); got != want || cycles != wantCycles {
+						t.Errorf("%s: FirstMatch = %s adding %d cycles to Stats, screened engines give %s spending %d",
+							name, got, cycles, want, wantCycles)
+					}
+				}
+			}
+		}
+	}
+}
+
+// firstMatchByEngines probes one standalone Engine per rule in rule
+// order, passing Degrade/Skip faults over and joining them, and sums
+// the cycles the engines spent.
+func firstMatchByEngines(t *testing.T, rules []string, policy Policy, opts []Option, data []byte) (int, bool, error, int64) {
+	t.Helper()
+	var deferred []error
+	var cycles int64
+	for i, re := range rules {
+		p, err := Compile(re)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := NewEngine(p, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hit, merr := eng.MatchCtx(context.Background(), data)
+		cycles += eng.Stats().Cycles
+		if merr != nil {
+			merr = scanErrFor(i, merr)
+			if policy == FailFast {
+				return 0, false, merr, cycles
+			}
+			deferred = append(deferred, merr)
+			continue
+		}
+		if hit {
+			return i, true, nil, cycles
+		}
+	}
+	return 0, false, errors.Join(deferred...), cycles
 }

@@ -3,15 +3,14 @@ package core
 import (
 	"context"
 	"errors"
-	"sync"
 
 	"alveare/internal/arch"
 	"alveare/internal/stream"
 )
 
 // Stream is a resumable push-mode scan of one unbounded flow against
-// every rule — the rule-set counterpart of stream.Session, and the
-// state a scan-service streaming session carries across frames. Each
+// every rule — the state a scan-service streaming session carries
+// across frames, over the shared stream.Carry window machine. Each
 // pushed chunk is scanned as one window of the overlap discipline with
 // one resume position per rule, the cross-rule literal prefilter run
 // per window, fast-path gating intact and per-rule degraded/retired
@@ -25,14 +24,12 @@ import (
 // be serialised (the scan service's session registry enforces this);
 // the RuleSet underneath stays safe for concurrent use by other scans.
 type Stream struct {
-	rs      *RuleSet
-	overlap int
-	buf     []byte
-	base    int   // stream offset of buf[0]
-	pos     []int // per-rule resume offsets
-	sticky  []bool
-	dead    []error
-	done    bool
+	rs     *RuleSet
+	carry  stream.Carry
+	pos    []int // per-rule resume offsets
+	sticky []bool
+	dead   []error
+	done   bool
 }
 
 // NewStream opens push-mode carry-over state for the rule set.
@@ -40,51 +37,32 @@ type Stream struct {
 // (WithOverlap, default stream.DefaultOverlap).
 func (rs *RuleSet) NewStream(overlap int) *Stream {
 	if overlap <= 0 {
-		overlap = rs.stream.Overlap
-	}
-	if overlap <= 0 {
-		overlap = stream.DefaultOverlap
+		overlap = rs.overlap
 	}
 	n := rs.Len()
 	return &Stream{
-		rs:      rs,
-		overlap: overlap,
-		pos:     make([]int, n),
-		sticky:  make([]bool, n),
-		dead:    make([]error, n),
+		rs:     rs,
+		carry:  stream.NewCarry(overlap),
+		pos:    make([]int, n),
+		sticky: make([]bool, n),
+		dead:   make([]error, n),
 	}
 }
 
 // Overlap returns the boundary carry in bytes — the longest match the
 // stream is guaranteed to report identically to a one-shot scan.
-func (st *Stream) Overlap() int { return st.overlap }
+func (st *Stream) Overlap() int { return st.carry.Overlap() }
 
 // Consumed returns the total stream bytes absorbed so far.
-func (st *Stream) Consumed() int64 { return int64(st.base + len(st.buf)) }
+func (st *Stream) Consumed() int64 { return st.carry.Consumed() }
 
 // Buffered returns the resident carry-over tail in bytes (at most
 // Overlap after each completed push).
-func (st *Stream) Buffered() int { return len(st.buf) }
+func (st *Stream) Buffered() int { return st.carry.Buffered() }
 
 // Finished reports whether the stream has been finalised (FinishCtx
 // ran, a fault aborted it, or emit stopped it).
 func (st *Stream) Finished() bool { return st.done }
-
-// grow extends the window by n bytes and returns the scratch region
-// for the caller to fill — the zero-copy refill path ScanReaderCtx
-// uses. commit trims the region to the bytes actually delivered.
-func (st *Stream) grow(n int) []byte {
-	have := len(st.buf)
-	if cap(st.buf) < have+n {
-		nb := make([]byte, have, have+n+st.overlap)
-		copy(nb, st.buf)
-		st.buf = nb
-	}
-	st.buf = st.buf[:have+n]
-	return st.buf[have:]
-}
-
-func (st *Stream) commit(have, n int) { st.buf = st.buf[:have+n] }
 
 // PushCtx scans chunk as the flow's next window. emit is called
 // sequentially, rules in rule order, with absolute stream offsets;
@@ -98,14 +76,11 @@ func (st *Stream) PushCtx(ctx context.Context, chunk []byte, emit func(rule int,
 		return false, stream.ErrSessionFinished
 	}
 	if cerr := ctx.Err(); cerr != nil {
-		rs := st.rs
-		rs.mu.Lock()
-		rs.agg.CancelledScans++
-		rs.mu.Unlock()
+		st.rs.cancelled()
 		st.done = true
 		return false, scanErrFor(-1, &stream.ReadError{Offset: st.Consumed(), Err: cerr})
 	}
-	copy(st.grow(len(chunk)), chunk)
+	st.carry.Push(chunk)
 	return st.window(ctx, len(chunk), false, emit)
 }
 
@@ -131,15 +106,8 @@ func (st *Stream) FinishCtx(ctx context.Context, emit func(rule int, m Match, te
 func (st *Stream) window(ctx context.Context, nr int, final bool, emit func(rule int, m Match, text []byte) bool) (bool, error) {
 	rs := st.rs
 	n := rs.Len()
-	buf, base := st.buf, st.base
+	buf, base := st.carry.Window()
 	limit := base + len(buf)
-	ownEnd := limit
-	if !final {
-		ownEnd = limit - st.overlap
-		if ownEnd < base {
-			ownEnd = base
-		}
-	}
 
 	// Admission first: one filter walk over the whole buffered window
 	// (carry tail plus new bytes) stands in for every rule's window
@@ -151,78 +119,31 @@ func (st *Stream) window(ctx context.Context, nr int, final bool, emit func(rule
 	screened := rs.screening()
 	if screened && !rs.screenWindow(buf) {
 		for i := 0; i < n; i++ {
-			if st.dead[i] != nil {
-				continue
-			}
-			if final {
-				st.pos[i] = limit + 1
-			} else if st.pos[i] < ownEnd {
-				st.pos[i] = ownEnd
+			if st.dead[i] == nil {
+				st.pos[i] = st.carry.Skip(st.pos[i], final)
 			}
 		}
 		rs.merge(nil, nil, 0, 1, int64(nr))
-		if final {
-			st.done = true
-			return true, nil
-		}
-		st.carryTail(limit)
+		st.next(final)
 		return true, nil
 	}
 
 	// One prefilter pass over the window buffer picks the candidate
-	// rules. A skipped rule's resume offset advances exactly as a
-	// no-match window scan would (stream.ScanWindowCtx's contract):
-	// the literal's absence from the buffer proves no match lies in
-	// the window, so the two are byte-identical.
-	cand := rs.candidates(buf)
-
-	// Fan the window out to the workers; collect per rule so the
-	// emission below is deterministic.
+	// rules and the live ones fan out to the workers, collected per
+	// rule so the emission below is deterministic. A withheld rule's
+	// resume offset advances exactly as a no-match window scan would
+	// (stream.ScanWindowCtx's contract): the literal's absence from
+	// the buffer proves no match lies in the window, so the two are
+	// byte-identical.
 	wins := make([][]Match, n)
 	errs := make([]error, n)
 	per := make([]arch.Stats, n)
-	occ := make([]int64, rs.workerCount(n))
-	var sent, skipped int64
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := range occ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := range jobs {
-				ms, stats, npos, deg, err := rs.scanRuleWindow(ctx, i, buf, base, final, st.overlap, st.pos[i], st.sticky[i])
-				wins[i], errs[i] = ms, err
-				st.pos[i], st.sticky[i] = npos, deg
-				per[i] = stats
-				occ[w]++
-			}
-		}(w)
-	}
-	for i := 0; i < n; i++ {
-		if st.dead[i] != nil {
-			continue
-		}
-		if cand != nil && !cand.Has(i) {
-			if final {
-				st.pos[i] = limit + 1
-			} else if st.pos[i] < ownEnd {
-				st.pos[i] = ownEnd
-			}
-			skipped++
-			continue
-		}
-		jobs <- i
-		sent++
-	}
-	close(jobs)
-	wg.Wait()
-	rs.putBits(cand)
-	if rs.useDFA {
-		rs.mu.Lock()
-		rs.fast.PrefilterPasses += sent
-		rs.fast.PrefilterSkips += skipped
-		rs.mu.Unlock()
-	}
+	occ, sent := rs.fanOut(rs.candidates(buf),
+		func(i int) bool { return st.dead[i] == nil },
+		func(i int) { st.pos[i] = st.carry.Skip(st.pos[i], final) },
+		func(i int) {
+			wins[i], per[i], st.pos[i], st.sticky[i], errs[i] = rs.scanRuleWindow(ctx, i, buf, base, final, st.Overlap(), st.pos[i], st.sticky[i])
+		})
 
 	rs.merge(per, occ, sent, 1, int64(nr))
 	for i, err := range errs {
@@ -231,9 +152,7 @@ func (st *Stream) window(ctx context.Context, nr int, final bool, emit func(rule
 		}
 		if isCancel(err) || rs.policy == FailFast {
 			if isCancel(err) {
-				rs.mu.Lock()
-				rs.agg.CancelledScans++
-				rs.mu.Unlock()
+				rs.cancelled()
 			}
 			st.done = true
 			return false, err
@@ -269,23 +188,18 @@ func (st *Stream) window(ctx context.Context, nr int, final bool, emit func(rule
 		}
 	}
 	flushEmitted()
-	if final {
-		st.done = true
-		return true, nil
-	}
-	st.carryTail(limit)
+	st.next(final)
 	return true, nil
 }
 
-// carryTail retains the shared overlap tail for the next window; every
-// rule's resume offset is at or past it (ScanWindow guarantees
-// pos >= limit-overlap).
-func (st *Stream) carryTail(limit int) {
-	carry := limit - st.overlap
-	if carry < st.base {
-		carry = st.base
+// next ends a window that ran to completion: the final window finishes
+// the stream, any other carries the shared overlap tail from the owned
+// end — every live rule's resume offset is at or past it
+// (ScanWindowCtx guarantees pos >= limit-overlap).
+func (st *Stream) next(final bool) {
+	if final {
+		st.done = true
+	} else {
+		st.carry.Cut(st.carry.OwnEnd(false))
 	}
-	copy(st.buf, st.buf[carry-st.base:])
-	st.buf = st.buf[:limit-carry]
-	st.base = carry
 }

@@ -1,8 +1,14 @@
 // Package stream implements chunked scanning of unbounded data
-// streams: a Scanner consumes an io.Reader in configurable chunks,
-// carries an overlap tail across chunk boundaries, and emits matches
-// incrementally — the whole input is never resident, only one window
-// of ChunkSize+Overlap bytes.
+// streams. A Carry is the one overlap window machine every chunked
+// path shares: it grows the window by refills (pull mode, Pull) or
+// pushed chunks (push mode, Push), computes the region a window owns,
+// advances resume offsets over a window proven clean, and carries the
+// unfinalised tail into the next window, so the whole input is never
+// resident — only one window of ChunkSize+Overlap bytes. ScanWindowCtx
+// runs one finder's resume offset over one window; internal/core
+// drives it once per rule (RuleSet, core.Stream) or for its single
+// pattern (Engine reader scans), and keeps the one checkpoint codec
+// for that state.
 //
 // The discipline is the sequential counterpart of the multicore
 // engine's divide and conquer (paper §6): every window extends
@@ -26,11 +32,15 @@ import (
 	"io"
 
 	"alveare/internal/arch"
-	"alveare/internal/isa"
 )
 
 // DefaultChunkSize is the refill granularity in bytes.
 const DefaultChunkSize = 64 * 1024
+
+// ErrSessionFinished reports a push into a stream that has already
+// been finalised (its final window ran, the scan faulted, or emit
+// stopped it) — the carry-over state is gone and cannot be resumed.
+var ErrSessionFinished = errors.New("stream: session already finished")
 
 // ReadError reports a stream-level failure at an absolute byte offset:
 // a refill whose underlying reader failed, or a cancellation observed
@@ -47,7 +57,7 @@ func (e *ReadError) Error() string {
 
 func (e *ReadError) Unwrap() error { return e.Err }
 
-// Finder is the execution interface the scanner drives: one leftmost
+// Finder is the execution interface a window scan drives: one leftmost
 // search from a resume offset, honouring ctx. *arch.Core implements it;
 // internal/core wraps cores with policy-applying finders (safe-engine
 // fallback, skip containment) that slot in transparently.
@@ -55,181 +65,174 @@ type Finder interface {
 	FindFromCtx(ctx context.Context, data []byte, from int) (arch.Match, bool, error)
 }
 
-// Config parameterises a Scanner. The zero value selects the defaults.
-type Config struct {
-	// ChunkSize is the refill granularity; non-positive selects
-	// DefaultChunkSize. It may be smaller than Overlap: the window then
-	// grows across refills until it covers one overlap.
-	ChunkSize int
-	// Overlap is the boundary carry in bytes — the longest match the
-	// scanner is guaranteed to report identically to a one-shot scan.
-	// Non-positive selects DefaultOverlap.
-	Overlap int
-	// Screen, when set, is consulted once per window with the full
-	// buffered window (carry tail plus new bytes) before the finder
-	// runs. Returning false asserts the window holds no match: the
-	// window is skipped and resume positions advance exactly as a
-	// no-match scan would, so a sound screen (one that never returns
-	// false on a window containing a match) leaves results
-	// byte-identical. The admission-automaton first stage
-	// (internal/approx) plugs in here.
-	Screen func(window []byte) bool
-}
-
-func (c Config) withDefaults() Config {
-	if c.ChunkSize <= 0 {
-		c.ChunkSize = DefaultChunkSize
-	}
-	if c.Overlap <= 0 {
-		c.Overlap = DefaultOverlap
-	}
-	return c
-}
-
 // EmitFunc receives one match as it is finalised. text is the matched
-// bytes inside the scanner's window buffer — valid only during the
-// call; copy it to retain it. Returning false stops the scan.
+// bytes inside the window buffer — valid only during the call; copy it
+// to retain it. Returning false stops the scan.
 type EmitFunc func(m arch.Match, text []byte) bool
 
 // Counters accumulates stream-throughput telemetry: how many windows
-// the scan searched, how many bytes it consumed from the reader, and
-// how many matches it emitted. An attached accumulator survives across
-// Scan calls, so an engine can roll up a whole session. Counters follow
-// the scanner's single-goroutine discipline.
+// a scan searched, how many bytes it consumed, and how many matches it
+// emitted. An engine keeps one across scans to roll up a whole
+// session.
 type Counters struct {
 	Windows int64
 	Bytes   int64
 	Matches int64
 }
 
-// Scanner scans unbounded streams with one execution finder.
-type Scanner struct {
-	f   Finder
-	cfg Config
-	ctr *Counters
+// Carry is the overlap carry of one chunked scan: the buffered window
+// (the carried tail plus the bytes added since) and its stream offset.
+// Between windows only the unfinalised tail, at most Overlap bytes,
+// stays resident. A Carry is single-goroutine.
+type Carry struct {
+	overlap int
+	buf     []byte
+	base    int // stream offset of buf[0]
 }
 
-// SetCounters attaches (or, with nil, detaches) a throughput
-// accumulator updated by every subsequent Scan.
-func (s *Scanner) SetCounters(c *Counters) { s.ctr = c }
-
-// New builds a scanner with a private core for the compiled program.
-func New(p *isa.Program, hw arch.Config, cfg Config) (*Scanner, error) {
-	core, err := arch.NewCore(p, hw)
-	if err != nil {
-		return nil, err
+// NewCarry opens an empty carry at stream offset 0. Non-positive
+// overlap selects DefaultOverlap.
+func NewCarry(overlap int) Carry {
+	if overlap <= 0 {
+		overlap = DefaultOverlap
 	}
-	return ForCore(core, cfg), nil
+	return Carry{overlap: overlap}
 }
 
-// ForCore wraps an existing core (for engines and pools that own the
-// core's lifecycle). The scanner inherits the core's single-goroutine
-// discipline.
-func ForCore(core *arch.Core, cfg Config) *Scanner {
-	return &Scanner{f: core, cfg: cfg.withDefaults()}
+// ResumeCarry rebuilds a carry whose window holds buf at stream offset
+// base — the restore side of a checkpoint. The carry takes ownership
+// of buf.
+func ResumeCarry(overlap, base int, buf []byte) Carry {
+	return Carry{overlap: overlap, buf: buf, base: base}
 }
 
-// ForFinder wraps an arbitrary finder — the hook the engine layer uses
-// to scan through a policy-applying wrapper instead of a bare core.
-func ForFinder(f Finder, cfg Config) *Scanner {
-	return &Scanner{f: f, cfg: cfg.withDefaults()}
-}
+// Overlap returns the boundary carry in bytes — the longest match the
+// scan is guaranteed to report identically to a one-shot scan.
+func (c *Carry) Overlap() int { return c.overlap }
 
-// Core returns the scanner's execution core, or nil when the scanner
-// drives a wrapped finder (counters then live behind the wrapper).
-func (s *Scanner) Core() *arch.Core {
-	c, _ := s.f.(*arch.Core)
-	return c
-}
+// Consumed returns the total stream bytes absorbed so far.
+func (c *Carry) Consumed() int64 { return int64(c.base + len(c.buf)) }
 
-// Scan consumes r to EOF, emitting every match in stream order.
-// It returns the number of bytes consumed from r. The scan stops early
-// without error when emit returns false.
-func (s *Scanner) Scan(r io.Reader, emit EmitFunc) (int64, error) {
-	return s.ScanCtx(context.Background(), r, emit)
-}
+// Buffered returns the resident window in bytes (at most Overlap
+// between windows).
+func (c *Carry) Buffered() int { return len(c.buf) }
 
-// ScanCtx is Scan with cooperative cancellation: ctx is checked at
-// every window boundary and, through the finder, every
-// arch.CancelCheckCycles simulated cycles inside a window. Errors are
-// positional — a *ReadError for refill failures and between-window
-// cancellation, an *arch.ExecError (rebased to absolute stream offsets)
-// for execution faults.
-//
-// The loop is the pull-mode driver over the same Session state machine
-// push-mode callers (the scan service's streaming sessions) use, so
-// the two paths cannot diverge: each refill is one Session window.
-func (s *Scanner) ScanCtx(ctx context.Context, r io.Reader, emit EmitFunc) (int64, error) {
-	if s.ctr != nil {
-		inner := emit
-		emit = func(m arch.Match, text []byte) bool {
-			s.ctr.Matches++
-			return inner(m, text)
-		}
+// Window returns the buffered window and the stream offset of its
+// first byte. The slice aliases the carry and is valid until the next
+// Push, Pull refill or Cut.
+func (c *Carry) Window() (buf []byte, base int) { return c.buf, c.base }
+
+// grow extends the window by n bytes and returns that region for the
+// caller to fill.
+func (c *Carry) grow(n int) []byte {
+	have := len(c.buf)
+	if cap(c.buf) < have+n {
+		nb := make([]byte, have, have+n+c.overlap)
+		copy(nb, c.buf)
+		c.buf = nb
 	}
-	sess := NewSession(s.f, s.cfg)
-	chunk := s.cfg.ChunkSize
-	final := false
-	for !final {
+	c.buf = c.buf[:have+n]
+	return c.buf[have:]
+}
+
+// Push appends chunk to the window: the push-mode refill.
+func (c *Carry) Push(chunk []byte) { copy(c.grow(len(chunk)), chunk) }
+
+// Pull is the pull-mode loop: it refills the window from r in
+// chunk-sized reads (non-positive chunk selects DefaultChunkSize) and
+// calls window after each, with the byte count the refill added and
+// whether it reached EOF. ctx is checked before every refill. A
+// cancellation or a failed read ends the loop with a *ReadError at
+// Consumed, the first byte not processed; an error or a false cont
+// from window ends it with that error. done is true when the final
+// window ran and every window continued.
+func (c *Carry) Pull(ctx context.Context, r io.Reader, chunk int, window func(nr int, final bool) (cont bool, err error)) (done bool, err error) {
+	if chunk <= 0 {
+		chunk = DefaultChunkSize
+	}
+	for {
 		if cerr := ctx.Err(); cerr != nil {
-			return sess.Consumed(), &ReadError{Offset: sess.Consumed(), Err: cerr}
+			return false, &ReadError{Offset: c.Consumed(), Err: cerr}
 		}
-		have := sess.Buffered()
-		n, err := io.ReadFull(r, sess.grow(chunk))
-		sess.commit(have, n)
-		if s.ctr != nil {
-			s.ctr.Bytes += int64(n)
-		}
-		switch err {
+		have := len(c.buf)
+		nr, rerr := io.ReadFull(r, c.grow(chunk))
+		c.buf = c.buf[:have+nr]
+		final := false
+		switch rerr {
 		case nil:
 		case io.EOF, io.ErrUnexpectedEOF:
 			final = true
 		default:
-			// Consumed is the offset of the first byte the refill could
-			// not deliver — the exact resume point.
-			return sess.Consumed(), &ReadError{Offset: sess.Consumed(), Err: err}
+			return false, &ReadError{Offset: c.Consumed(), Err: rerr}
 		}
-		if s.ctr != nil {
-			s.ctr.Windows++
+		if cont, werr := window(nr, final); werr != nil || !cont {
+			return false, werr
 		}
-		cont, werr := sess.scan(ctx, final, emit)
-		if werr != nil || !cont {
-			return sess.Consumed(), werr
+		if final {
+			return true, nil
 		}
 	}
-	return sess.Consumed(), nil
 }
 
-// ScanWindow advances the one-shot FindAll resume discipline over one
-// buffered window covering stream offsets [base, base+len(buf)). pos is
-// the absolute resume offset (>= base); the updated offset is returned.
-// When final is false the window only finalises matches starting before
-// its last overlap bytes — later starts are re-searched by the caller's
-// next window, which must begin at or before the returned offset.
-// cont reports whether the scan should continue (emit returned true
-// throughout and no execution error occurred).
-//
-// The helper is shared by Scanner and by the rule-set streaming scan,
-// which runs one resume position per rule over a common window buffer.
-func ScanWindow(core *arch.Core, buf []byte, base int, final bool, overlap, pos int, emit EmitFunc) (npos int, cont bool, err error) {
-	return ScanWindowCtx(context.Background(), core, buf, base, final, overlap, pos, emit)
+// OwnEnd returns the stream offset where the window's owned region
+// ends: a non-final window finalises only match starts before its last
+// Overlap bytes, a final window owns everything.
+func (c *Carry) OwnEnd(final bool) int {
+	return ownEnd(c.base, c.base+len(c.buf), c.overlap, final)
 }
 
-// ScanWindowCtx is ScanWindow over any finder, with cooperative
-// cancellation. Execution errors carrying a window-relative offset
-// (*arch.ExecError) are rebased to absolute stream offsets before they
-// are returned.
+// Skip returns where a resume offset pos moves when the window holds
+// no match: past the owned region, or past the stream on the final
+// window — exactly where a no-match ScanWindowCtx pass leaves it, so a
+// window proven clean by a screen can skip the finder byte-identically.
+func (c *Carry) Skip(pos int, final bool) int {
+	return skip(pos, c.OwnEnd(final), c.base+len(c.buf), final)
+}
+
+// Cut carries the window's tail from stream offset from (clamped to
+// the window) into the next window; every byte before it is done.
+func (c *Carry) Cut(from int) {
+	limit := c.base + len(c.buf)
+	if from > limit {
+		from = limit
+	}
+	if from < c.base {
+		from = c.base
+	}
+	n := copy(c.buf, c.buf[from-c.base:])
+	c.buf = c.buf[:n]
+	c.base = from
+}
+
+func ownEnd(base, limit, overlap int, final bool) int {
+	if final {
+		return limit
+	}
+	return max(limit-overlap, base)
+}
+
+func skip(pos, ownEnd, limit int, final bool) int {
+	if final {
+		return limit + 1
+	}
+	return max(pos, ownEnd)
+}
+
+// ScanWindowCtx advances the one-shot FindAll resume discipline of one
+// finder over one buffered window covering stream offsets
+// [base, base+len(buf)). pos is the absolute resume offset (>= base);
+// the updated offset is returned. When final is false the window only
+// finalises matches starting before its last overlap bytes — later
+// starts are re-searched by the caller's next window, which must begin
+// at or before the returned offset. cont reports whether the scan
+// should continue (emit returned true throughout and no execution
+// error occurred). Execution errors carrying a window-relative offset
+// (*arch.ExecError) are rebased to absolute stream offsets.
 func ScanWindowCtx(ctx context.Context, f Finder, buf []byte, base int, final bool, overlap, pos int, emit EmitFunc) (npos int, cont bool, err error) {
 	limit := base + len(buf)
-	ownEnd := limit
-	if !final {
-		ownEnd = limit - overlap
-		if ownEnd < base {
-			ownEnd = base
-		}
-	}
+	own := ownEnd(base, limit, overlap, final)
 	for pos <= limit {
-		if !final && pos >= ownEnd {
+		if !final && pos >= own {
 			break
 		}
 		m, ok, ferr := f.FindFromCtx(ctx, buf, pos-base)
@@ -242,22 +245,17 @@ func ScanWindowCtx(ctx context.Context, f Finder, buf []byte, base int, final bo
 		}
 		if !ok {
 			// No match anywhere in the window: every owned offset is
-			// cleared (a match starting before ownEnd would have been
-			// wholly visible).
-			if pos < ownEnd {
-				pos = ownEnd
-			}
-			if final {
-				pos = limit + 1
-			}
+			// cleared (a match starting before the owned end would have
+			// been wholly visible).
+			pos = skip(pos, own, limit, final)
 			break
 		}
 		start, end := base+m.Start, base+m.End
-		if !final && start >= ownEnd {
+		if !final && start >= own {
 			// Deferred: the match starts inside the carry region and is
 			// re-found (with full read-ahead) by the next window. The
 			// offsets before it hold no match start.
-			pos = ownEnd
+			pos = own
 			break
 		}
 		keep := emit(arch.Match{Start: start, End: end}, buf[start-base:end-base])
@@ -271,22 +269,4 @@ func ScanWindowCtx(ctx context.Context, f Finder, buf []byte, base int, final bo
 		}
 	}
 	return pos, true, nil
-}
-
-// FindAll collects every match in the stream (the input itself is
-// still processed window by window; only the match list is buffered).
-func (s *Scanner) FindAll(r io.Reader) ([]arch.Match, error) {
-	var out []arch.Match
-	_, err := s.Scan(r, func(m arch.Match, _ []byte) bool {
-		out = append(out, m)
-		return true
-	})
-	return out, err
-}
-
-// Count returns the number of matches in the stream.
-func (s *Scanner) Count(r io.Reader) (int, error) {
-	n := 0
-	_, err := s.Scan(r, func(arch.Match, []byte) bool { n++; return true })
-	return n, err
 }

@@ -2,7 +2,9 @@ package stream
 
 import (
 	"bytes"
+	"context"
 	"errors"
+	"io"
 	"math/rand"
 	"strings"
 	"testing"
@@ -33,6 +35,49 @@ func oneShot(t *testing.T, p *isa.Program, data []byte) []arch.Match {
 		t.Fatal(err)
 	}
 	return ms
+}
+
+// scanner is the single-finder pull scan Engine.ScanReaderCtx runs:
+// Carry.Pull refills the window, ScanWindowCtx advances the one resume
+// offset over it, and the carry keeps the tail from that offset.
+type scanner struct {
+	core           *arch.Core
+	chunk, overlap int
+}
+
+func newScanner(t *testing.T, p *isa.Program, chunk, overlap int) *scanner {
+	t.Helper()
+	core, err := arch.NewCore(p, arch.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &scanner{core: core, chunk: chunk, overlap: overlap}
+}
+
+func (s *scanner) Scan(r io.Reader, emit EmitFunc) (int64, error) {
+	ctx := context.Background()
+	c := NewCarry(s.overlap)
+	pos := 0
+	_, err := c.Pull(ctx, r, s.chunk, func(_ int, final bool) (bool, error) {
+		buf, base := c.Window()
+		npos, cont, werr := ScanWindowCtx(ctx, s.core, buf, base, final, c.Overlap(), pos, emit)
+		pos = npos
+		if werr != nil || !cont {
+			return false, werr
+		}
+		c.Cut(pos)
+		return true, nil
+	})
+	return c.Consumed(), err
+}
+
+func (s *scanner) FindAll(r io.Reader) ([]arch.Match, error) {
+	var out []arch.Match
+	_, err := s.Scan(r, func(m arch.Match, _ []byte) bool {
+		out = append(out, m)
+		return true
+	})
+	return out, err
 }
 
 func maxMatchLen(ms []arch.Match) int {
@@ -106,10 +151,7 @@ func TestScannerAcrossBoundaries(t *testing.T) {
 	data := []byte(strings.Repeat("zzzz", 5) + "abbbc" + strings.Repeat("y", 9) + "abc" + "abbc")
 	want := oneShot(t, p, data)
 	for _, chunk := range []int{1, 2, 3, 5, 7, 16} {
-		s, err := New(p, arch.DefaultConfig(), Config{ChunkSize: chunk, Overlap: 8})
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := newScanner(t, p, chunk, 8)
 		got, err := s.FindAll(bytes.NewReader(data))
 		if err != nil {
 			t.Fatal(err)
@@ -123,10 +165,7 @@ func TestScannerAcrossBoundaries(t *testing.T) {
 func TestScannerTextWindow(t *testing.T) {
 	p := compile(t, "[0-9]+")
 	data := []byte("a1b22c333d4444e")
-	s, err := New(p, arch.DefaultConfig(), Config{ChunkSize: 4, Overlap: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newScanner(t, p, 4, 6)
 	var texts []string
 	if _, err := s.Scan(bytes.NewReader(data), func(m arch.Match, text []byte) bool {
 		if !bytes.Equal(text, data[m.Start:m.End]) {
@@ -151,10 +190,7 @@ func TestScannerTextWindow(t *testing.T) {
 func TestScannerEarlyStop(t *testing.T) {
 	p := compile(t, "x")
 	data := []byte(strings.Repeat("ax", 1000))
-	s, err := New(p, arch.DefaultConfig(), Config{ChunkSize: 64, Overlap: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newScanner(t, p, 64, 4)
 	seen := 0
 	if _, err := s.Scan(bytes.NewReader(data), func(arch.Match, []byte) bool {
 		seen++
@@ -171,10 +207,7 @@ func TestScannerEmptyAndTinyInputs(t *testing.T) {
 	p := compile(t, "a*")
 	for _, in := range []string{"", "b", "a", "aa"} {
 		want := oneShot(t, p, []byte(in))
-		s, err := New(p, arch.DefaultConfig(), Config{ChunkSize: 3, Overlap: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := newScanner(t, p, 3, 4)
 		got, err := s.FindAll(strings.NewReader(in))
 		if err != nil {
 			t.Fatal(err)
@@ -188,13 +221,10 @@ func TestScannerEmptyAndTinyInputs(t *testing.T) {
 func TestScannerChunkSmallerThanOverlap(t *testing.T) {
 	p := compile(t, "needle")
 	data := []byte(strings.Repeat("hay", 40) + "needle" + strings.Repeat("hay", 40))
-	s, err := New(p, arch.DefaultConfig(), Config{ChunkSize: 5, Overlap: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := s.Count(bytes.NewReader(data))
-	if err != nil || n != 1 {
-		t.Fatalf("Count = %d, err %v", n, err)
+	s := newScanner(t, p, 5, 64)
+	got, err := s.FindAll(bytes.NewReader(data))
+	if err != nil || len(got) != 1 {
+		t.Fatalf("matches = %v, err %v", got, err)
 	}
 }
 
@@ -216,23 +246,24 @@ func (r *failReader) Read(p []byte) (int, error) {
 func TestScannerReadError(t *testing.T) {
 	p := compile(t, "x")
 	boom := errors.New("boom")
-	s, err := New(p, arch.DefaultConfig(), Config{ChunkSize: 8, Overlap: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = s.Scan(&failReader{data: []byte("axbxcx more to come"), err: boom}, func(arch.Match, []byte) bool { return true })
+	s := newScanner(t, p, 8, 4)
+	data := []byte("axbxcx more to come")
+	n, err := s.Scan(&failReader{data: data, err: boom}, func(arch.Match, []byte) bool { return true })
 	if !errors.Is(err, boom) {
 		t.Errorf("err = %v, want wrapped boom", err)
+	}
+	// The refill that failed still absorbed what it read: the error's
+	// offset is the first byte never delivered, where a caller resumes.
+	var re *ReadError
+	if !errors.As(err, &re) || re.Offset != int64(len(data)) || n != re.Offset {
+		t.Errorf("err %v consumed %d, want *ReadError at offset %d", err, n, len(data))
 	}
 }
 
 func TestScannerBytesConsumed(t *testing.T) {
 	p := compile(t, "q")
 	data := bytes.Repeat([]byte("pad"), 1000)
-	s, err := New(p, arch.DefaultConfig(), Config{ChunkSize: 100, Overlap: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newScanner(t, p, 100, 10)
 	n, err := s.Scan(bytes.NewReader(data), func(arch.Match, []byte) bool { return true })
 	if err != nil || n != int64(len(data)) {
 		t.Errorf("consumed %d, err %v, want %d", n, err, len(data))
@@ -240,7 +271,7 @@ func TestScannerBytesConsumed(t *testing.T) {
 }
 
 // TestChunkingEquivalenceProperty is the streaming correctness
-// property: over a pattern/input grid, Scanner with chunk sizes
+// property: over a pattern/input grid, the pull scan with chunk sizes
 // {7, 64, 256, 4096} and varying overlaps yields byte-identical
 // matches to a one-shot FindAll, whenever the overlap is at least the
 // longest match (the documented contract).
@@ -279,10 +310,7 @@ func TestChunkingEquivalenceProperty(t *testing.T) {
 					if overlap < minOverlap {
 						continue
 					}
-					s, err := New(prog, arch.DefaultConfig(), Config{ChunkSize: chunk, Overlap: overlap})
-					if err != nil {
-						t.Fatal(err)
-					}
+					s := newScanner(t, prog, chunk, overlap)
 					got, err := s.FindAll(bytes.NewReader(data))
 					if err != nil {
 						t.Fatalf("%q chunk=%d overlap=%d: %v", pat, chunk, overlap, err)
@@ -303,15 +331,50 @@ func TestScannerOneByteReader(t *testing.T) {
 	p := compile(t, "ab+c")
 	data := []byte("xxabbcxxabcx")
 	want := oneShot(t, p, data)
-	s, err := New(p, arch.DefaultConfig(), Config{ChunkSize: 4, Overlap: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newScanner(t, p, 4, 8)
 	got, err := s.FindAll(iotest.OneByteReader(bytes.NewReader(data)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !sameMatches(got, want) {
 		t.Errorf("got %v, want %v", got, want)
+	}
+}
+
+// TestCarryWindowArithmetic pins the carry's window bookkeeping: the
+// owned end, the resume advance over a clean window, and the tail cut
+// (clamped to the window).
+func TestCarryWindowArithmetic(t *testing.T) {
+	if c := NewCarry(0); c.Overlap() != DefaultOverlap {
+		t.Errorf("NewCarry(0).Overlap() = %d, want %d", c.Overlap(), DefaultOverlap)
+	}
+	c := NewCarry(4)
+	c.Push([]byte("0123456789"))
+	checks := []struct {
+		name      string
+		got, want int
+	}{
+		{"OwnEnd(false)", c.OwnEnd(false), 6},
+		{"OwnEnd(true)", c.OwnEnd(true), 10},
+		{"Skip(2, false)", c.Skip(2, false), 6},
+		{"Skip(8, false)", c.Skip(8, false), 8},
+		{"Skip(2, true)", c.Skip(2, true), 11},
+	}
+	for _, ck := range checks {
+		if ck.got != ck.want {
+			t.Errorf("%s = %d, want %d", ck.name, ck.got, ck.want)
+		}
+	}
+	c.Cut(7)
+	c.Push([]byte("ab"))
+	if buf, base := c.Window(); string(buf) != "789ab" || base != 7 || c.Consumed() != 12 {
+		t.Errorf("after Cut(7)+Push: window %q at %d, consumed %d", buf, base, c.Consumed())
+	}
+	if got := c.OwnEnd(false); got != 8 {
+		t.Errorf("OwnEnd(false) on a 5-byte window = %d, want 8", got)
+	}
+	c.Cut(100)
+	if buf, base := c.Window(); len(buf) != 0 || base != 12 || c.Consumed() != 12 {
+		t.Errorf("Cut past the window: %q at %d, consumed %d", buf, base, c.Consumed())
 	}
 }
